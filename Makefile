@@ -1,12 +1,13 @@
 # Build/test entry points. `make ci` is the gate: vet + the dlvet domain
 # analyzers + full tests + the race-detector pass over the concurrent
 # packages (the parallel explorer, the scheduler and the swarm worker
-# pool), plus the swarm, fuzz, observability, checkpoint/resume and
-# reduction A/B smoke runs.
+# pool), plus the swarm, fuzz, observability, checkpoint/resume,
+# reduction A/B, spill and serving smoke runs and the benchmark
+# harness's tests.
 
 GO ?= go
 
-.PHONY: build test vet lint lint-json lint-sarif race swarm-smoke fuzz-smoke obs-smoke checkpoint-smoke reduction-smoke spill-smoke serve-smoke admin-smoke ci bench-explore bench
+.PHONY: build test vet lint lint-json lint-sarif race swarm-smoke fuzz-smoke obs-smoke checkpoint-smoke reduction-smoke spill-smoke serve-smoke admin-smoke bench-test ci bench-explore bench
 
 build:
 	$(GO) build ./...
@@ -128,9 +129,9 @@ reduction-smoke:
 
 # Memory-bound-run smoke through the real binary: the e11 workload with
 # a deliberately tiny -spill-threshold (forcing run files onto disk and
-# through the compacting merge) plus the frontier arena must certify
-# exactly what the in-memory baseline certifies — state count, deepest
-# path, exhausted flag and the verdict line — while visibly spilling.
+# through the compacting merge) must certify exactly what the in-memory
+# baseline certifies — state count, deepest path, exhausted flag and the
+# verdict line — while visibly spilling.
 # Then the strict run-file decoder, driven through -check-spill-run,
 # must accept a minimal valid artifact and reject a truncated one with
 # a clean diagnosis instead of a panic or silent short read.
@@ -140,7 +141,7 @@ spill-smoke:
 		> /tmp/spill-smoke-base.txt 2> /dev/null
 	rm -rf /tmp/spill-smoke-dir
 	/tmp/spill-smoke-explore -protocol stenning -fifo=false -msgs 3 -depth 24 -workers 2 \
-		-spill-dir /tmp/spill-smoke-dir -spill-threshold 4096 -arena \
+		-spill-dir /tmp/spill-smoke-dir -spill-threshold 4096 \
 		> /tmp/spill-smoke-spill.txt 2> /dev/null
 	grep -o "explored [0-9]* states" /tmp/spill-smoke-base.txt > /tmp/spill-smoke-want.txt
 	grep -o "deepest path [0-9]*, exhausted=[a-z]*" /tmp/spill-smoke-base.txt >> /tmp/spill-smoke-want.txt
@@ -221,7 +222,14 @@ admin-smoke:
 		/tmp/admin-smoke-client.txt /tmp/admin-smoke-server.jsonl \
 		/tmp/admin-smoke-client.jsonl /tmp/admin-smoke-merge.txt
 
-ci: vet lint test race swarm-smoke fuzz-smoke obs-smoke checkpoint-smoke reduction-smoke spill-smoke serve-smoke admin-smoke
+# The benchmark harness's own tests (dlbench is a nested module, so
+# `go test ./...` does not reach it): its metric names must match
+# BENCHMARK.json, and instrumenting a search must leave its result and
+# checkpoint unchanged — checked against the explorer it measures.
+bench-test:
+	$(GO) -C dlbench test .
+
+ci: vet lint test race swarm-smoke fuzz-smoke obs-smoke checkpoint-smoke reduction-smoke spill-smoke serve-smoke admin-smoke bench-test
 
 # Regenerate BENCH_explore.json (model-checker throughput + dedup memory).
 bench-explore:

@@ -80,7 +80,6 @@ type options struct {
 	por        bool
 	spillDir   string
 	spillAt    int
-	arena      bool
 	checkRun   string
 	cpuProfile string
 	memProfile string
@@ -121,7 +120,6 @@ func main() {
 	flag.BoolVar(&o.por, "por", false, "partial-order reduction: one canonical order for commuting deliveries/losses")
 	flag.StringVar(&o.spillDir, "spill-dir", "", "spill cold seen-set fingerprints to sorted run files in this directory")
 	flag.IntVar(&o.spillAt, "spill-threshold", 0, "in-memory front size triggering a spill (0: the built-in default; needs -spill-dir)")
-	flag.BoolVar(&o.arena, "arena", false, "flat frontier arena: slab-allocated BFS levels instead of per-state heap nodes")
 	flag.StringVar(&o.checkRun, "check-spill-run", "", "strict-decode this spill run file and exit (maintenance: validates a -spill-dir artifact)")
 	flag.StringVar(&o.cpuProfile, "cpuprofile", "", "write a CPU profile to this file")
 	flag.StringVar(&o.memProfile, "memprofile", "", "write a heap profile to this file")
@@ -365,7 +363,6 @@ func run(o options, out io.Writer) (err error) {
 		ExactDedup:     o.exactDedup,
 		SpillDir:       o.spillDir,
 		SpillThreshold: o.spillAt,
-		Arena:          o.arena,
 		Symmetry:       o.symmetry,
 		POR:            o.por,
 		Metrics:        reg,

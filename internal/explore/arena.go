@@ -6,39 +6,38 @@ import (
 	"repro/internal/ioa"
 )
 
-// This file is the flat frontier arena: the []*node frontier re-laid as
-// a few large parallel slabs per BFS level (ROADMAP "Disk-spill seen-set
-// + flat frontier arena"). In classic mode every admitted state is its
-// own heap node — a node struct, a used []bool, and a parent pointer
-// that keeps the whole ancestor chain's states and monitors alive for
-// trace reconstruction. At millions of states per level that is millions
-// of objects for the allocator and garbage collector to track, and the
-// live set includes every ancestor's full state even though only its
-// incoming action can ever be needed again.
+// This file is the explorer's frontier layout. Each BFS level is one
+// arenaLevel: a few large parallel slabs instead of one heap object per
+// state, so a level of millions of states is a handful of allocations
+// for the allocator and garbage collector to track.
 //
-// In arena mode (Config.Arena) a level is one arenaLevel: states and
-// monitors as interface slabs, the used bitmaps bit-packed into a single
-// []uint64 at usedStride words per node, the incoming action per node,
-// and the parent link as a 32-bit index into the previous level's arena.
-// Workers accumulate admissions in private arenaBatch slabs (no per-node
-// allocation) which the barrier concatenates in worker order — exactly
-// the order classic mode concatenates its next slices. Once a level has
-// been fully expanded it is retired: the state, monitor and bitmap slabs
-// are dropped and only the action + parent-index skeleton survives, so a
-// violation trace is reconstructed by replaying indices up the level
-// chain instead of chasing node pointers, and dead branches cost nothing
-// past their level.
+// A live level holds states and monitors as interface slabs, the
+// inputs-used bitmaps bit-packed into a single []uint64 at usedStride
+// words per node, the incoming action per node, and the parent link as a
+// 32-bit index into the previous level's slabs. Workers accumulate
+// admissions in private arenaBatch slabs (no per-node allocation), which
+// the barrier concatenates in worker order.
 //
-// Equivalence with classic mode is structural: both modes expand the
-// same views in the same frontier order, build dedup keys from the same
-// (state, monitor, used, extraIdx) tuples, admit through the same
-// seen-set, and order the next level identically, so verdicts, traces,
-// state counts and checkpoint bytes are identical (the A/B tests and the
-// spill-smoke target pin this).
+// Once a level has been fully expanded it is retired: the state, monitor
+// and bitmap slabs are dropped and only the action + parent-index
+// skeleton survives. A violation trace or a checkpoint schedule is
+// reconstructed by replaying indices up the level chain, and dead
+// branches cost nothing past their level. Two invariants keep this
+// sound:
+//
+//   - Offsets: parents[i] of a level at depth d+1 indexes the level at
+//     depth d, whose actions/parents slabs are never reordered or
+//     truncated after the barrier that built it; so an index chain from
+//     any live node always reaches a root.
+//   - Retirement: a level is retired only after its successor level has
+//     absorbed every batch, and a retired level's slabs are nil, not
+//     merely truncated — the skeleton it keeps holds no state or monitor.
+//     Batches clear their full capacity on reuse, so a narrow level never
+//     pins a wider predecessor's states through slack slots.
 
-// arenaLevel is one BFS level in flat form. A live level has all slabs
-// populated; a retired level keeps only depth/prev/prefix/actions/
-// parents — the trace skeleton.
+// arenaLevel is one BFS level. A live level has all slabs populated; a
+// retired level keeps only depth/prev/prefix/actions/parents — the trace
+// skeleton.
 type arenaLevel struct {
 	depth  int
 	inputs int // pool size, for unpacking used bitmaps
@@ -49,7 +48,7 @@ type arenaLevel struct {
 	prefix []ioa.Schedule
 
 	actions    []ioa.Action // incoming action per node (zero on a fresh root)
-	parents    []uint32     // index into prev's slabs
+	parents    []uint32     // index into prev's slabs (nil on a root level)
 	states     []ioa.State
 	monitors   []Monitor
 	usedBits   []uint64 // usedStride words per node, bit i = pool input i used
@@ -58,49 +57,18 @@ type arenaLevel struct {
 
 func (a *arenaLevel) size() int { return len(a.actions) }
 
-// newArenaRoot builds the level-0 arena for a fresh search.
-func newArenaRoot(start *node, inputs, usedStride int) *arenaLevel {
+// newRootLevel builds a root level of n nodes with every slab but
+// parents allocated (a root has no predecessor to point into).
+func newRootLevel(n, depth, inputs, usedStride int) *arenaLevel {
 	return &arenaLevel{
+		depth:      depth,
 		inputs:     inputs,
 		usedStride: usedStride,
-		actions:    make([]ioa.Action, 1),
-		parents:    make([]uint32, 1),
-		states:     []ioa.State{start.state},
-		monitors:   []Monitor{start.monitor},
-		usedBits:   make([]uint64, usedStride),
+		actions:    make([]ioa.Action, n),
+		states:     make([]ioa.State, n),
+		monitors:   make([]Monitor, n),
+		usedBits:   make([]uint64, n*usedStride),
 	}
-}
-
-// newArenaFromNodes builds a root level from a restored frontier: the
-// replayed nodes provide states/monitors/bitmaps, and the checkpoint's
-// schedules become the prefix the trace reconstruction bottoms out in.
-// scheds[i] must be the schedule that produced nodes[i].
-func newArenaFromNodes(nodes []*node, scheds []ioa.Schedule, inputs, usedStride int) *arenaLevel {
-	a := &arenaLevel{
-		inputs:     inputs,
-		usedStride: usedStride,
-		prefix:     scheds,
-		actions:    make([]ioa.Action, len(nodes)),
-		parents:    make([]uint32, len(nodes)),
-		states:     make([]ioa.State, len(nodes)),
-		monitors:   make([]Monitor, len(nodes)),
-		usedBits:   make([]uint64, len(nodes)*usedStride),
-	}
-	if len(nodes) > 0 {
-		a.depth = nodes[0].depth
-	}
-	for i, n := range nodes {
-		if len(scheds[i]) > 0 {
-			// The incoming action feeds POR suppression, mirroring the
-			// classic restore path which records it on the replayed node.
-			a.actions[i] = scheds[i][len(scheds[i])-1]
-		}
-		a.parents[i] = uint32(i)
-		a.states[i] = n.state
-		a.monitors[i] = n.monitor
-		packUsed(a.usedBits[i*usedStride:(i+1)*usedStride], n.used)
-	}
-	return a
 }
 
 // nextArenaLevel starts the successor level of prev.
@@ -136,16 +104,10 @@ func (a *arenaLevel) unpackUsed(i int, dst []bool) []bool {
 	return dst
 }
 
-// traceOf reconstructs the schedule reaching node i by replaying parent
-// indices up the retired-level chain — the arena replacement for the
-// classic node.trace() pointer walk.
-func (a *arenaLevel) traceOf(i int) ioa.Schedule {
-	return a.appendTraceOf(nil, i)
-}
-
-// appendTraceOf appends node i's schedule to dst, walking the offset
-// chain twice — once to find the root index and length, once to fill
-// backwards — the arena twin of (*node).appendTrace.
+// appendTraceOf appends the schedule reaching node i to dst, walking the
+// offset chain twice — once to find the root index and length, once to
+// fill backwards — so bulk callers (checkpoint snapshots) can pack many
+// schedules into one shared slice without per-node garbage.
 func (a *arenaLevel) appendTraceOf(dst ioa.Schedule, i int) ioa.Schedule {
 	steps, idx, lvl := 0, i, a
 	for lvl.prev != nil {
@@ -190,9 +152,8 @@ func (a *arenaLevel) absorb(ab *arenaBatch) {
 }
 
 // arenaBatch is one worker's private admission slab for the level under
-// construction: the arena-mode replacement of workerBufs.next. The
-// backing arrays persist across levels, so steady-state admission is
-// slab appends, not per-node allocations.
+// construction. The backing arrays persist across levels, so
+// steady-state admission is slab appends, not per-node allocations.
 type arenaBatch struct {
 	actions  []ioa.Action
 	parents  []uint32
@@ -218,10 +179,9 @@ func (ab *arenaBatch) add(parent *arenaLevel, parentIdx int, sj *succ) {
 	}
 }
 
-// clearForReuse empties the batch, nilling the pointer-bearing slots so
-// a shrunken next level does not pin states and monitors in the slack
-// capacity — the same stale-tail discipline the classic path applies to
-// its frontier slices.
+// clearForReuse empties the batch, nilling the pointer-bearing slots
+// across the full capacity so a shrunken next level does not pin states
+// and monitors in the slack.
 func (ab *arenaBatch) clearForReuse() {
 	clear(ab.actions[:cap(ab.actions)])
 	ab.actions = ab.actions[:0]

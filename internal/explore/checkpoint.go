@@ -41,8 +41,9 @@ import (
 //
 // written atomically (tmp + rename). The decoder is strict: wrong magic
 // or version, a malformed or missing line, a line-count or checksum
-// mismatch all error — a corrupt checkpoint must never silently
-// misresume (the fuzz target pins "error, never panic"). The file
+// mismatch, a negative level or depth, or a node schedule whose length
+// is not the header's level all error — a corrupt checkpoint must never
+// silently misresume (the fuzz target pins "error, never panic"). The file
 // contains no wall-clock timestamps: resumable state is deterministic,
 // timing lives in obs events only.
 
@@ -84,8 +85,9 @@ type Checkpoint struct {
 	// ConfigDigest fingerprints the search configuration (inputs, bounds,
 	// monitor, system start state); Resume validates it.
 	ConfigDigest string
-	// Level is the depth of the stored frontier nodes (meaningful when
-	// Frontier is non-empty).
+	// Level is the depth of the stored frontier nodes: every Frontier
+	// schedule has exactly Level actions (meaningful when Frontier is
+	// non-empty).
 	Level int
 	// DepthReached is Result.DepthReached at the snapshot barrier.
 	DepthReached int
@@ -253,7 +255,8 @@ func EncodeCheckpoint(w io.Writer, c *Checkpoint) error {
 
 // DecodeCheckpoint reads and validates one checkpoint stream. Every
 // structural deviation — bad magic, unknown version, malformed line,
-// wrong line count, checksum mismatch, trailing data — is an error
+// negative level or depth, a frontier schedule whose length is not the
+// level, wrong line count, checksum mismatch, trailing data — is an error
 // wrapping ErrCheckpointFormat; the decoder never panics on corrupt or
 // truncated input.
 func DecodeCheckpoint(r io.Reader) (*Checkpoint, error) {
@@ -301,6 +304,9 @@ func DecodeCheckpoint(r io.Reader) (*Checkpoint, error) {
 	if head.Nodes < 0 || head.SeenLines < 0 || head.States < 0 {
 		return nil, fmt.Errorf("%w: negative count in header", ErrCheckpointFormat)
 	}
+	if head.Level < 0 || head.DepthReached < 0 {
+		return nil, fmt.Errorf("%w: negative level or depth in header", ErrCheckpointFormat)
+	}
 	c := &Checkpoint{
 		ConfigDigest: head.Config,
 		Level:        head.Level,
@@ -328,6 +334,12 @@ func DecodeCheckpoint(r io.Reader) (*Checkpoint, error) {
 		}
 		if nl.N == nil {
 			return nil, fmt.Errorf("%w: line %d: not a node line", ErrCheckpointFormat, lineNo)
+		}
+		// The frontier is one BFS level: every node sits at the header's
+		// depth, and resume takes that depth for all of them.
+		if len(*nl.N) != head.Level {
+			return nil, fmt.Errorf("%w: line %d: schedule of %d actions in a level-%d frontier",
+				ErrCheckpointFormat, lineNo, len(*nl.N), head.Level)
 		}
 		c.Frontier = append(c.Frontier, *nl.N)
 	}
@@ -466,8 +478,8 @@ const configDigestSeed = 0xd1c4_c0de_0000_0001
 // mode, the monitor's start state and the system's start state (which
 // covers the protocol, parameters and channel variant through the dedup
 // key). Two searches with equal digests expand equal frontiers equally.
-func (s *search) configDigest(start *node) (string, error) {
-	key, err := s.appendDedupKey(nil, start.state, start.monitor, start.used, -1, nil)
+func (s *search) configDigest(start ioa.State, monitor Monitor) (string, error) {
+	key, err := s.appendDedupKey(nil, start, monitor, make([]bool, len(s.cfg.Inputs)), -1, nil)
 	if err != nil {
 		return "", err
 	}
@@ -501,12 +513,11 @@ func (s *search) configDigest(start *node) (string, error) {
 
 // snapshot captures the search at a level barrier: the frontier as
 // per-node schedules plus the dedup set and cumulative counters. The
-// frontier representation (classic or arena) and the seen-set
-// representation (in-memory or spilled) both disappear here — the
-// checkpoint bytes are identical across all four combinations, which is
-// what keeps checkpoints resumable under a different representation than
-// they were taken under.
-func (s *search) snapshot(lvl levelRef, depthReached int) (*Checkpoint, error) {
+// seen-set representation (in-memory or spilled) disappears here — the
+// checkpoint bytes are identical for both, which is what keeps
+// checkpoints resumable under a different representation than they were
+// taken under.
+func (s *search) snapshot(lvl *arenaLevel, depthReached int) (*Checkpoint, error) {
 	c := &Checkpoint{
 		ConfigDigest: s.digest,
 		DepthReached: depthReached,
@@ -515,11 +526,11 @@ func (s *search) snapshot(lvl levelRef, depthReached int) (*Checkpoint, error) {
 		Exact:        s.cfg.ExactDedup,
 	}
 	if lvl.size() > 0 {
-		c.Level = lvl.depth()
+		c.Level = lvl.depth
 	} else {
 		c.Level = depthReached
 	}
-	// Pack every frontier schedule into one shared arena: snapshotting a
+	// Pack every frontier schedule into one shared slice: snapshotting a
 	// 10k-node frontier otherwise allocates 10k short-lived slices per
 	// barrier, and that garbage — not the encode — dominated checkpoint
 	// overhead. Growth past the estimate leaves earlier entries on the
@@ -528,7 +539,7 @@ func (s *search) snapshot(lvl levelRef, depthReached int) (*Checkpoint, error) {
 	flat := make(ioa.Schedule, 0, lvl.size()*(c.Level+1))
 	for i := range c.Frontier {
 		start := len(flat)
-		flat = lvl.appendSchedule(flat, i)
+		flat = lvl.appendTraceOf(flat, i)
 		c.Frontier[i] = flat[start:len(flat):len(flat)]
 	}
 	switch set := s.seen.(type) {
@@ -553,10 +564,10 @@ func (s *search) snapshot(lvl levelRef, depthReached int) (*Checkpoint, error) {
 // restore rebuilds the search from a decoded checkpoint: validates the
 // configuration digest, repopulates the seen-set and counters, and
 // replays each frontier schedule through the deterministic step
-// machinery to reconstruct the frontier nodes (states, monitors,
-// used-input masks and the parent chains violation traces are built
-// from).
-func (s *search) restore(c *Checkpoint) ([]*node, error) {
+// machinery straight into a root level at depth c.Level (states,
+// monitors, used-input masks and incoming actions), whose prefix is the
+// checkpoint's schedules — what violation traces bottom out in.
+func (s *search) restore(c *Checkpoint) (*arenaLevel, error) {
 	if c.ConfigDigest != s.digest {
 		return nil, fmt.Errorf("%w: digest %s, this search is %s",
 			ErrCheckpointMismatch, c.ConfigDigest, s.digest)
@@ -598,43 +609,46 @@ func (s *search) restore(c *Checkpoint) ([]*node, error) {
 	}
 	s.count.Store(c.States)
 	s.truncated.Store(c.Truncated)
-	frontier := make([]*node, len(c.Frontier))
-	for i := range c.Frontier {
-		n, err := s.replaySchedule(c.Frontier[i])
+	lvl := newRootLevel(len(c.Frontier), c.Level, len(s.cfg.Inputs), s.usedStride)
+	lvl.prefix = c.Frontier
+	used := make([]bool, len(s.cfg.Inputs))
+	for i, tr := range c.Frontier {
+		st, mon, err := s.replaySchedule(tr, used)
 		if err != nil {
 			return nil, err
 		}
-		frontier[i] = n
+		lvl.states[i], lvl.monitors[i] = st, mon
+		if len(tr) > 0 {
+			// The incoming action feeds POR suppression.
+			lvl.actions[i] = tr[len(tr)-1]
+		}
+		packUsed(lvl.usedBits[i*s.usedStride:(i+1)*s.usedStride], used)
 	}
-	return frontier, nil
+	return lvl, nil
 }
 
 // replaySchedule reconstructs one frontier node by stepping the recorded
-// schedule from the start state. Packet IDs were canonicalised before
-// recording, so actions apply verbatim; monitor steps mirror expand's.
-func (s *search) replaySchedule(tr ioa.Schedule) (*node, error) {
-	n := &node{
-		state:   s.sys.Comp.Start(),
-		monitor: s.cfg.Monitor,
-		used:    make([]bool, len(s.cfg.Inputs)),
-	}
+// schedule from the start state, returning its state and monitor and
+// leaving its inputs-used bitmap in used (overwritten). Packet IDs were
+// canonicalised before recording, so actions apply verbatim; monitor
+// steps mirror expand's.
+func (s *search) replaySchedule(tr ioa.Schedule, used []bool) (ioa.State, Monitor, error) {
+	clear(used)
+	st, mon := s.sys.Comp.Start(), s.cfg.Monitor
 	for _, a := range tr {
-		st, err := s.sys.Comp.Step(n.state, a)
+		var err error
+		st, err = s.sys.Comp.Step(st, a)
 		if err != nil {
-			return nil, fmt.Errorf("explore: checkpoint replay of %s: %w", a, err)
+			return nil, nil, fmt.Errorf("explore: checkpoint replay of %s: %w", a, err)
 		}
-		mon := n.monitor
 		if s.extSig.ContainsExternal(a) {
 			mon, _ = mon.Step(a)
 		}
-		used := n.used
-		if idx := s.poolIndex(n.used, a); idx >= 0 {
-			used = append([]bool(nil), n.used...)
+		if idx := s.poolIndex(used, a); idx >= 0 {
 			used[idx] = true
 		}
-		n = &node{state: st, monitor: mon, used: used, depth: n.depth + 1, parent: n, action: a}
 	}
-	return n, nil
+	return st, mon, nil
 }
 
 // poolIndex returns the pool input index expand would have charged for
@@ -680,7 +694,7 @@ func newCheckpointer(s *search, opts CheckpointOptions) *checkpointer {
 // due; final forces a write (the graceful-stop path). Failures surface
 // as search errors: a user who asked for durability must notice losing
 // it.
-func (c *checkpointer) maybeWrite(lvl levelRef, depthReached int, final bool) error {
+func (c *checkpointer) maybeWrite(lvl *arenaLevel, depthReached int, final bool) error {
 	if !c.opts.enabled() {
 		return nil
 	}

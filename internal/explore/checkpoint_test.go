@@ -155,13 +155,13 @@ func TestCheckpointRoundTrip(t *testing.T) {
 	for _, c := range []*Checkpoint{
 		{
 			ConfigDigest: "00112233aabbccdd",
-			Level:        7,
-			DepthReached: 6,
+			Level:        2,
+			DepthReached: 1,
 			States:       12345,
 			HashSeed:     0xdeadbeefcafef00d,
 			Frontier: []ioa.Schedule{
 				{ioa.Wake(ioa.TR), ioa.SendMsg(ioa.TR, "a")},
-				{ioa.Wake(ioa.RT)},
+				{ioa.Wake(ioa.RT), ioa.Wake(ioa.TR)},
 			},
 			SeenHashes: []uint64{1, 2, 3, 1 << 63},
 		},
@@ -201,8 +201,8 @@ func TestCheckpointDecodeRejectsCorruption(t *testing.T) {
 	var buf bytes.Buffer
 	err := EncodeCheckpoint(&buf, &Checkpoint{
 		ConfigDigest: "00112233aabbccdd",
-		Level:        2,
-		DepthReached: 1,
+		Level:        1,
+		DepthReached: 0,
 		States:       4,
 		HashSeed:     99,
 		Frontier:     []ioa.Schedule{{ioa.Wake(ioa.TR)}, {ioa.Wake(ioa.RT)}},
@@ -237,6 +237,33 @@ func TestCheckpointDecodeRejectsCorruption(t *testing.T) {
 	tampered := bytes.Replace(append([]byte(nil), valid...), []byte(`"states":4`), []byte(`"states":5`), 1)
 	corrupt("tampered header", tampered)
 	corrupt("wrong version", bytes.Replace(append([]byte(nil), valid...), []byte(`"version":1`), []byte(`"version":9`), 1))
+}
+
+// TestCheckpointDecodeRejectsBadCut: the frontier is one BFS level, and
+// resume places every restored node at the header's level. A file whose
+// schedules disagree with that level, or whose level or depth is
+// negative, is rejected even when its checksum is intact — otherwise it
+// would silently shift the depth bound of the resumed search.
+func TestCheckpointDecodeRejectsBadCut(t *testing.T) {
+	w := ioa.Wake(ioa.TR)
+	for _, tc := range []struct {
+		name string
+		c    Checkpoint
+	}{
+		{"short and long schedules", Checkpoint{Level: 2, Frontier: []ioa.Schedule{{w}, {w, w, w}}}},
+		{"negative depth", Checkpoint{Level: 1, DepthReached: -5, Frontier: []ioa.Schedule{{w}}}},
+		{"negative level", Checkpoint{Level: -1}},
+		{"everything at once", Checkpoint{Level: 2, DepthReached: -5, Frontier: []ioa.Schedule{{w}, {w, w, w}}}},
+	} {
+		tc.c.ConfigDigest, tc.c.States, tc.c.HashSeed = "00112233aabbccdd", 3, 99
+		var buf bytes.Buffer
+		if err := EncodeCheckpoint(&buf, &tc.c); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := DecodeCheckpoint(bytes.NewReader(buf.Bytes())); !errors.Is(err, ErrCheckpointFormat) {
+			t.Errorf("%s: err = %v, want ErrCheckpointFormat", tc.name, err)
+		}
+	}
 }
 
 // TestResumeEquivalenceEveryLevel is the kill/resume bit-equivalence
@@ -392,9 +419,11 @@ func TestResumeRejectsMismatchedConfig(t *testing.T) {
 	}
 }
 
-// FuzzCheckpointDecode: the decoder must never panic, and anything it
-// accepts must re-encode and re-decode to the same checkpoint (no
-// mutated state can slip through to a resume).
+// FuzzCheckpointDecode: the decoder must never panic, anything it
+// accepts must be a coherent level cut (non-negative level and depth,
+// every schedule exactly level actions long), and it must re-encode and
+// re-decode to the same checkpoint (no mutated state can slip through to
+// a resume).
 func FuzzCheckpointDecode(f *testing.F) {
 	var valid bytes.Buffer
 	if err := EncodeCheckpoint(&valid, &Checkpoint{
@@ -410,6 +439,19 @@ func FuzzCheckpointDecode(f *testing.F) {
 	}
 	f.Add(valid.Bytes())
 	f.Add(valid.Bytes()[:len(valid.Bytes())/2])
+	var badCut bytes.Buffer
+	if err := EncodeCheckpoint(&badCut, &Checkpoint{
+		ConfigDigest: "00112233aabbccdd",
+		Level:        2,
+		DepthReached: -5,
+		States:       4,
+		HashSeed:     99,
+		Frontier:     []ioa.Schedule{{ioa.Wake(ioa.TR)}, {ioa.Wake(ioa.TR), ioa.Wake(ioa.RT), ioa.SendMsg(ioa.TR, "a")}},
+		SeenHashes:   []uint64{10, 20, 30},
+	}); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(badCut.Bytes())
 	f.Add([]byte(`{"magic":"dl-explore-checkpoint","version":1}`))
 	f.Add([]byte("{}\n"))
 	f.Add([]byte(nil))
@@ -417,6 +459,14 @@ func FuzzCheckpointDecode(f *testing.F) {
 		c, err := DecodeCheckpoint(bytes.NewReader(data))
 		if err != nil {
 			return
+		}
+		if c.Level < 0 || c.DepthReached < 0 {
+			t.Fatalf("accepted negative level %d or depth %d", c.Level, c.DepthReached)
+		}
+		for i, sched := range c.Frontier {
+			if len(sched) != c.Level {
+				t.Fatalf("accepted frontier node %d with %d actions at level %d", i, len(sched), c.Level)
+			}
 		}
 		var re bytes.Buffer
 		if err := EncodeCheckpoint(&re, c); err != nil {

@@ -22,13 +22,12 @@
 // fully expanded before that level is entered, so a returned trace is a
 // shortest violating schedule regardless of worker count.
 //
-// Two opt-in representations let searches scale past RAM: Config.SpillDir
-// moves the cold majority of the seen-set into sorted run files on disk
-// (spill.go), and Config.Arena re-lays each frontier level as flat slabs
-// with 32-bit parent offsets instead of one heap node per state
-// (arena.go). Both are pure representation changes: verdicts, traces,
-// state counts and checkpoint files are identical to the in-memory
-// defaults.
+// Each frontier level is laid out as flat slabs with 32-bit parent
+// offsets rather than one heap object per state (arena.go), and
+// Config.SpillDir moves the cold majority of the seen-set into sorted run
+// files on disk (spill.go) so searches can scale past RAM. Spilling is a
+// pure representation change: verdicts, traces, state counts and
+// checkpoint files are identical to the in-memory seen-set's.
 package explore
 
 import (
@@ -36,7 +35,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -112,11 +110,6 @@ type Config struct {
 	// before a spill; 0 means DefaultSpillThreshold. Only meaningful with
 	// SpillDir.
 	SpillThreshold int
-	// Arena re-lays each frontier level as flat slabs (states, monitors,
-	// bit-packed used maps) with 32-bit parent offsets instead of one
-	// heap node per state; retired levels keep only the action/parent
-	// trace skeleton. A pure representation change; see arena.go.
-	Arena bool
 	// Symmetry enables symmetry reduction: dedup keys canonicalise payload
 	// tokens and packet IDs to first-use order, and the inputs-used bitmap
 	// collapses to per-class counts, so states differing only by a
@@ -152,7 +145,7 @@ type Config struct {
 	// Resume, when non-nil, restores the search from a decoded checkpoint
 	// instead of the start state. The rest of the Config must describe the
 	// same search the checkpoint was taken under (validated by digest);
-	// Workers may differ, as may SpillDir/SpillThreshold/Arena — they are
+	// Workers may differ, as may SpillDir/SpillThreshold — they are
 	// representation choices, not search parameters. Resuming and running
 	// to the end yields the same Result the uninterrupted run would have
 	// produced.
@@ -232,41 +225,6 @@ var ErrNoMonitor = errors.New("explore: config needs a monitor")
 // cannot honour.
 var ErrSpillConfig = errors.New("explore: invalid spill configuration")
 
-// node is a search frontier entry in classic (non-arena) mode, and the
-// carrier the checkpoint replay path reconstructs frontiers into.
-type node struct {
-	state   ioa.State
-	monitor Monitor
-	used    []bool // which pool inputs have been injected
-	depth   int
-	// parent chain for trace reconstruction
-	parent *node
-	action ioa.Action
-}
-
-func (n *node) trace() ioa.Schedule {
-	return n.appendTrace(nil)
-}
-
-// appendTrace appends the root-to-node schedule to dst, walking the
-// parent chain twice — once to size, once to fill backwards — so bulk
-// callers (checkpoint snapshots) can pack many traces into one shared
-// arena without per-node garbage.
-func (n *node) appendTrace(dst ioa.Schedule) ioa.Schedule {
-	steps := 0
-	for cur := n; cur.parent != nil; cur = cur.parent {
-		steps++
-	}
-	start := len(dst)
-	dst = slices.Grow(dst, steps)[:start+steps]
-	k := start + steps - 1
-	for cur := n; cur.parent != nil; cur = cur.parent {
-		dst[k] = cur.action
-		k--
-	}
-	return dst
-}
-
 // search carries the per-run state shared by the level workers.
 type search struct {
 	sys    *core.System
@@ -289,9 +247,7 @@ type search struct {
 	count     atomic.Int64 // distinct states admitted (start included)
 	truncated atomic.Bool  // a fresh state was dropped for budget
 
-	// arena selects the flat-slab frontier representation; usedStride is
-	// the bit-packed used-bitmap width in words.
-	arena      bool
+	// usedStride is the bit-packed used-bitmap width in words.
 	usedStride int
 
 	// Reduction state (see reduction.go). sym is the EFFECTIVE symmetry
@@ -323,22 +279,10 @@ type search struct {
 	spillPrev spillStats
 }
 
-// nodeView is the representation-independent read view of one frontier
-// node: what expand and the dedup-key builder need, whether the node
-// lives as a heap *node or as row i of an arena level.
-type nodeView struct {
-	state   ioa.State
-	monitor Monitor
-	used    []bool
-	depth   int
-	action  ioa.Action
-}
-
-// succ is one successor produced by expand: a value, not a node. The
-// admitting side decides the representation — a heap node with a parent
-// pointer (classic) or a slab row with a parent offset (arena) — and
-// only for successors that survive dedup, so the expansion hot path
-// allocates no per-successor objects in either mode.
+// succ is one successor produced by expand: a value, not a node. Only
+// successors that survive dedup become slab rows of the next level (see
+// arenaBatch.add), so the expansion hot path allocates no per-successor
+// objects.
 type succ struct {
 	state   ioa.State
 	monitor Monitor
@@ -350,66 +294,13 @@ type succ struct {
 	violation *Violation
 }
 
-// levelRef points at the current BFS level in either representation;
-// exactly one field is set (arena wins as discriminator).
-type levelRef struct {
-	classic []*node
-	arena   *arenaLevel
-}
-
-func (l levelRef) size() int {
-	if l.arena != nil {
-		return l.arena.size()
-	}
-	return len(l.classic)
-}
-
-func (l levelRef) depth() int {
-	if l.arena != nil {
-		return l.arena.depth
-	}
-	if len(l.classic) > 0 {
-		return l.classic[0].depth
-	}
-	return 0
-}
-
-// view materialises node i; scratch is the caller's reused unpack buffer
-// (used and returned only in arena mode).
-func (l levelRef) view(i int, scratch []bool) (nodeView, []bool) {
-	if l.arena != nil {
-		a := l.arena
-		scratch = a.unpackUsed(i, scratch)
-		return nodeView{state: a.states[i], monitor: a.monitors[i], used: scratch, depth: a.depth, action: a.actions[i]}, scratch
-	}
-	n := l.classic[i]
-	return nodeView{state: n.state, monitor: n.monitor, used: n.used, depth: n.depth, action: n.action}, scratch
-}
-
-// schedule reconstructs the schedule reaching node i (a fresh slice the
-// caller owns).
-func (l levelRef) schedule(i int) ioa.Schedule {
-	return l.appendSchedule(nil, i)
-}
-
-// appendSchedule appends node i's schedule to dst (see appendTrace).
-func (l levelRef) appendSchedule(dst ioa.Schedule, i int) ioa.Schedule {
-	if l.arena != nil {
-		return l.arena.appendTraceOf(dst, i)
-	}
-	return l.classic[i].appendTrace(dst)
-}
-
 // workerBufs is one worker's reused scratch: the dedup-key buffer, the
-// expand successor buffer, and the worker's slice of the next frontier
-// (next in classic mode, batch in arena mode). All persist across
-// levels, so steady-state expansion allocates nothing per successor.
+// expand successor buffer, the worker's admission batch for the next
+// level and the used-bitmap unpack buffer. All persist across levels, so
+// steady-state expansion allocates nothing per successor.
 type workerBufs struct {
-	key  []byte
-	succ []succ
-	next []*node
-	// batch is the arena-mode admission slab (unused otherwise); usedView
-	// is the arena-mode bitmap unpack scratch.
+	key      []byte
+	succ     []succ
 	batch    arenaBatch
 	usedView []bool
 	// canon is the worker's token-canonicalisation table (nil unless
@@ -447,7 +338,6 @@ func BFS(sys *core.System, cfg Config) (*Result, error) {
 		extSig:   sys.Hidden.Signature(),
 		comps:    sys.Comp.Components(),
 		maxDepth: cfg.MaxDepth,
-		arena:    cfg.Arena,
 	}
 	if s.maxDepth <= 0 {
 		s.maxDepth = DefaultMaxDepth
@@ -509,47 +399,34 @@ func BFS(sys *core.System, cfg Config) (*Result, error) {
 	s.ins = newInstruments(cfg.Metrics, workers)
 	s.began = time.Now() // lint:ignore determinism trace-only timestamp; never reaches Result
 
-	start := &node{
-		state:   sys.Comp.Start(),
-		monitor: cfg.Monitor,
-		used:    make([]bool, len(cfg.Inputs)),
-	}
-	digest, err := s.configDigest(start)
+	startState := sys.Comp.Start()
+	digest, err := s.configDigest(startState, cfg.Monitor)
 	if err != nil {
 		return nil, err
 	}
 	s.digest = digest
 
 	res := &Result{Exhausted: true}
-	var cur levelRef
+	var cur *arenaLevel
 	if cfg.Resume != nil {
-		nodes, err := s.restore(cfg.Resume)
+		cur, err = s.restore(cfg.Resume)
 		if err != nil {
 			return nil, err
 		}
-		if s.arena {
-			cur = levelRef{arena: newArenaFromNodes(nodes, cfg.Resume.Frontier, len(cfg.Inputs), s.usedStride)}
-		} else {
-			cur = levelRef{classic: nodes}
-		}
 		res.DepthReached = cfg.Resume.DepthReached
 	} else {
-		key, err := s.appendDedupKey(nil, start.state, start.monitor, start.used, -1, &bufs[0])
+		cur = newRootLevel(1, 0, len(cfg.Inputs), s.usedStride)
+		cur.states[0], cur.monitors[0] = startState, cfg.Monitor
+		key, err := s.appendDedupKey(nil, startState, cfg.Monitor, make([]bool, len(cfg.Inputs)), -1, &bufs[0])
 		if err != nil {
 			return nil, err
 		}
 		s.seen.Add(key)
 		s.count.Store(1)
-		if s.arena {
-			cur = levelRef{arena: newArenaRoot(start, len(cfg.Inputs), s.usedStride)}
-		} else {
-			cur = levelRef{classic: []*node{start}}
-		}
 	}
 	ck := newCheckpointer(s, cfg.Checkpoint)
-	var spare []*node
 	for cur.size() > 0 {
-		depth := cur.depth()
+		depth := cur.depth
 		res.DepthReached = depth
 		if depth >= s.maxDepth {
 			res.DepthLimited = true
@@ -566,36 +443,25 @@ func BFS(sys *core.System, cfg Config) (*Result, error) {
 		}
 		admitted := 0
 		for w := range bufs {
-			admitted += len(bufs[w].next) + bufs[w].batch.size()
+			admitted += bufs[w].batch.size()
 		}
 		s.observeLevel(depth, cur.size(), admitted)
 		s.observeSpill()
 		if found != nil {
 			res.Violation = found.violation
-			res.Trace = append(cur.schedule(found.frontIdx), found.action)
+			res.Trace = append(cur.appendTraceOf(nil, found.frontIdx), found.action)
 			// The violating node sits one level below the frontier being
 			// expanded; recording the frontier depth under-reported by one
 			// and disagreed with len(res.Trace).
 			res.DepthReached = depth + 1
 			break
 		}
-		if s.arena {
-			next := nextArenaLevel(cur.arena)
-			for w := range bufs {
-				next.absorb(&bufs[w].batch)
-			}
-			cur.arena.retire()
-			cur = levelRef{arena: next}
-		} else {
-			frontier := promoteNext(spare, bufs)
-			// The swapped-out slice's stale slots — and the worker copies
-			// promoteNext already dropped — would otherwise pin the whole
-			// expanded level (and its dead branches' parent chains) for
-			// another level; ancestors of live nodes stay reachable through
-			// the nodes' own parent pointers.
-			spare = clearNodeSlice(cur.classic)
-			cur = levelRef{classic: frontier}
+		next := nextArenaLevel(cur)
+		for w := range bufs {
+			next.absorb(&bufs[w].batch)
 		}
+		cur.retire()
+		cur = next
 		// Level barrier: the frontier is a complete cut of the search, so
 		// this is the one place a checkpoint is coherent and a stop is
 		// resumable. A graceful stop forces a final checkpoint write.
@@ -622,30 +488,6 @@ func BFS(sys *core.System, cfg Config) (*Result, error) {
 	}
 	s.observeDone(res)
 	return res, nil
-}
-
-// promoteNext concatenates the workers' next buffers (in worker order,
-// matching the arena barrier) into dst's storage and clears every stale
-// *node the reused slices still hold — both dst's slack capacity and the
-// worker buffers just copied out. Without the clears, dead nodes from
-// wider earlier levels stay reachable through slice tails and pin their
-// entire parent chains past their live window.
-func promoteNext(dst []*node, bufs []workerBufs) []*node {
-	dst = dst[:0]
-	for w := range bufs {
-		dst = append(dst, bufs[w].next...)
-		bufs[w].next = clearNodeSlice(bufs[w].next)
-	}
-	clear(dst[len(dst):cap(dst)])
-	return dst
-}
-
-// clearNodeSlice nils the slice's full capacity and returns it empty for
-// reuse.
-func clearNodeSlice(s []*node) []*node {
-	s = s[:cap(s)]
-	clear(s)
-	return s[:0]
 }
 
 // seenErr surfaces the first disk error a spill-mode seen-set recorded
@@ -680,12 +522,12 @@ const levelBatch = 32
 // expandLevel expands one BFS level with the configured worker pool. Each
 // worker claims batches of frontier indices from an atomic cursor, builds
 // dedup keys in its private reused buffer, and admits fresh successors to
-// its private next slice (classic) or batch slab (arena); the caller
-// concatenates those in worker order after the barrier. The first
-// violation (in frontier order among those seen) or error cancels the
-// level's context so the other workers stop early.
-func (s *search) expandLevel(lvl levelRef, bufs []workerBufs, workers int) (*foundViolation, error) {
-	if lvl.arena != nil && lvl.size() > math.MaxUint32 {
+// its private batch slab; the caller concatenates those in worker order
+// after the barrier. The first violation (in frontier order among those
+// seen) or error cancels the level's context so the other workers stop
+// early.
+func (s *search) expandLevel(lvl *arenaLevel, bufs []workerBufs, workers int) (*foundViolation, error) {
+	if lvl.size() > math.MaxUint32 {
 		return nil, fmt.Errorf("explore: level of %d nodes overflows 32-bit arena offsets", lvl.size())
 	}
 	ctx, cancel := context.WithCancel(context.Background())
@@ -713,7 +555,6 @@ func (s *search) expandLevel(lvl levelRef, bufs []workerBufs, workers int) (*fou
 	size := lvl.size()
 	work := func(w int) {
 		b := &bufs[w]
-		b.next = b.next[:0]
 		for ctx.Err() == nil {
 			i := int(cursor.Add(levelBatch)) - levelBatch
 			if i >= size {
@@ -724,9 +565,8 @@ func (s *search) expandLevel(lvl levelRef, bufs []workerBufs, workers int) (*fou
 				if ctx.Err() != nil {
 					return
 				}
-				var view nodeView
-				view, b.usedView = lvl.view(i, b.usedView)
-				sl, err := s.expand(view, b.succ[:0])
+				b.usedView = lvl.unpackUsed(i, b.usedView)
+				sl, err := s.expand(lvl, i, b.usedView, b.succ[:0])
 				b.succ = sl
 				if err != nil {
 					report(nil, err)
@@ -751,7 +591,7 @@ func (s *search) expandLevel(lvl levelRef, bufs []workerBufs, workers int) (*fou
 					if b.canon != nil {
 						renames0 = b.canon.Assigned()
 					}
-					b.key, err = s.appendDedupKey(b.key[:0], sj.state, sj.monitor, view.used, sj.usedIdx, b)
+					b.key, err = s.appendDedupKey(b.key[:0], sj.state, sj.monitor, b.usedView, sj.usedIdx, b)
 					if err != nil {
 						report(nil, err)
 						return
@@ -769,29 +609,13 @@ func (s *search) expandLevel(lvl levelRef, bufs []workerBufs, workers int) (*fou
 						continue
 					}
 					s.ins.admitted.Inc()
-					if lvl.arena != nil {
-						b.batch.add(lvl.arena, i, sj)
-						continue
-					}
-					parent := lvl.classic[i]
-					used := parent.used
-					if sj.usedIdx >= 0 {
-						used = append([]bool(nil), parent.used...)
-						used[sj.usedIdx] = true
-					}
-					b.next = append(b.next, &node{
-						state: sj.state, monitor: sj.monitor, used: used,
-						depth: view.depth + 1, parent: parent, action: sj.action,
-					})
+					b.batch.add(lvl, i, sj)
 				}
 			}
 		}
 	}
 
 	if workers == 1 || size <= 1 {
-		for w := 1; w < workers; w++ {
-			bufs[w].next = bufs[w].next[:0]
-		}
 		work(0)
 	} else {
 		var wg sync.WaitGroup
@@ -885,36 +709,37 @@ func (s *search) appendDedupKey(dst []byte, state ioa.State, monitor Monitor, us
 	return dst, nil
 }
 
-// expand appends all successors of a node view to out: every eligible
+// expand appends all successors of node n of lvl to out: every eligible
 // pool input (the first unused instance of each distinct action) and
-// every eligible enabled locally-controlled action. Successors are
-// values; out's backing array is the caller's reused buffer, and no node
-// or bitmap is materialised here — that happens on admission, in the
-// caller's chosen representation.
+// every eligible enabled locally-controlled action. used is the node's
+// unpacked inputs-used bitmap. Successors are values; out's backing array
+// is the caller's reused buffer, and no node or bitmap is materialised
+// here — that happens on admission.
 //
 // Packet IDs are assigned canonically as the per-channel send index
 // ((PL2)'s uniqueness is per channel direction): structurally identical
 // states then have identical fingerprints regardless of the path taken,
 // which is what makes state deduplication effective — and sound, since
 // the IDs carry no information a protocol may use.
-func (s *search) expand(cur nodeView, out []succ) ([]succ, error) {
-	enabled := s.sys.Comp.Enabled(cur.state)
+func (s *search) expand(lvl *arenaLevel, n int, used []bool, out []succ) ([]succ, error) {
+	state, monitor, incoming := lvl.states[n], lvl.monitors[n], lvl.actions[n]
+	enabled := s.sys.Comp.Enabled(state)
 	if need := len(s.cfg.Inputs) + len(enabled); cap(out) < need {
 		out = make([]succ, 0, need)
 	}
 	apply := func(a ioa.Action, usedIdx int) error {
 		if a.Kind == ioa.KindSendPkt && a.Pkt.ID == 0 {
-			cs, err := s.sys.ChannelState(cur.state, a.Dir)
+			cs, err := s.sys.ChannelState(state, a.Dir)
 			if err != nil {
 				return err
 			}
 			a.Pkt.ID = uint64(cs.SentCount() + 1)
 		}
-		st, err := s.sys.Comp.Step(cur.state, a)
+		st, err := s.sys.Comp.Step(state, a)
 		if err != nil {
 			return fmt.Errorf("explore: applying %s: %w", a, err)
 		}
-		mon := cur.monitor
+		mon := monitor
 		var viol *Violation
 		if s.extSig.ContainsExternal(a) {
 			mon, viol = mon.Step(a)
@@ -927,12 +752,12 @@ func (s *search) expand(cur nodeView, out []succ) ([]succ, error) {
 	// Pool index i is eligible when it is the first unused instance of its
 	// action, i.e. every earlier duplicate (the dupOf chain) is used.
 	for i, in := range s.cfg.Inputs {
-		if cur.used[i] {
+		if used[i] {
 			continue
 		}
 		eligible := true
 		for j := s.dupOf[i]; j >= 0; j = s.dupOf[j] {
-			if !cur.used[j] {
+			if !used[j] {
 				eligible = false
 				break
 			}
@@ -952,7 +777,7 @@ func (s *search) expand(cur nodeView, out []succ) ([]succ, error) {
 			continue
 		}
 		if s.cfg.MaxInTransit > 0 && a.Kind == ioa.KindSendPkt {
-			cs, err := s.sys.ChannelState(cur.state, a.Dir)
+			cs, err := s.sys.ChannelState(state, a.Dir)
 			if err != nil {
 				return out, err
 			}
@@ -960,7 +785,7 @@ func (s *search) expand(cur nodeView, out []succ) ([]succ, error) {
 				continue
 			}
 		}
-		if s.por && s.porSuppressed(cur.action, a) {
+		if s.por && s.porSuppressed(incoming, a) {
 			pruned++
 			continue
 		}

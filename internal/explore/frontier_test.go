@@ -9,101 +9,70 @@ import (
 	"repro/internal/ioa"
 )
 
-func TestClearNodeSlice(t *testing.T) {
-	s := make([]*node, 3, 8)
-	s[0], s[1], s[2] = &node{}, &node{}, &node{}
-	s = append(s, &node{}) // occupy part of the spare capacity too
-	got := clearNodeSlice(s)
-	if len(got) != 0 || cap(got) != 8 {
-		t.Fatalf("len=%d cap=%d, want 0 and 8", len(got), cap(got))
-	}
-	full := got[:cap(got)]
-	for i, p := range full {
-		if p != nil {
-			t.Fatalf("slot %d still holds a pointer after clearNodeSlice", i)
-		}
-	}
+// probe stands in for a protocol state and a monitor; the padding keeps
+// it out of the tiny allocator, whose shared blocks would delay its
+// finalizer.
+type probe struct {
+	id int
+	_  [32]byte
 }
 
-func TestPromoteNextClearsStaleTail(t *testing.T) {
-	// Fill a spare slice to capacity with old pointers, then promote a
-	// smaller next generation into it: every slot past the new length
-	// must come back nil, and the worker buffers must come back empty
-	// with their own capacity scrubbed.
-	spare := make([]*node, 6)
-	for i := range spare {
-		spare[i] = &node{}
-	}
-	bufs := []workerBufs{
-		{next: []*node{{action: ioa.Action{}}, {}}},
-		{next: []*node{{}}},
-	}
-	got := promoteNext(spare[:0], bufs)
-	if len(got) != 3 {
-		t.Fatalf("promoted %d nodes, want 3", len(got))
-	}
-	for i, p := range got[:cap(got)] {
-		if i < 3 && p == nil {
-			t.Fatalf("slot %d lost its node", i)
-		}
-		if i >= 3 && p != nil {
-			t.Fatalf("stale pointer survives in tail slot %d", i)
-		}
-	}
-	for w := range bufs {
-		b := bufs[w].next
-		if len(b) != 0 {
-			t.Fatalf("worker %d next not reset", w)
-		}
-		for i, p := range b[:cap(b)] {
-			if p != nil {
-				t.Fatalf("worker %d buffer slot %d still holds a pointer", w, i)
-			}
-		}
-	}
-}
+func (p *probe) Fingerprint() string                   { return "" }
+func (p *probe) Step(ioa.Action) (Monitor, *Violation) { return p, nil }
 
-// TestFrontierSwapReleasesDeadNodes is the retained-heap probe behind
-// the frontier/spare swap bugfix. Before the fix, the spare slice kept
-// the previous level's *node pointers alive in its unused tail, pinning
-// an entire retired generation (states, monitors, used bitmaps) for the
-// rest of the search. Finalizers on the dead generation must all fire
-// while the spare slice — same backing array, same capacity — is still
-// reachable.
+// TestFrontierSwapReleasesDeadNodes is the retained-heap probe for the
+// level barrier: a wide level is built through a worker batch, then a
+// narrow level through the same (reused) batch, and the wide level is
+// retired. Every state and monitor of the wide level must then be
+// collectable while the narrow level — whose trace skeleton reaches back
+// through the retired one — and the batch stay reachable. It fails if
+// arenaBatch.clearForReuse leaves states or monitors in its slack
+// capacity, or if arenaLevel.retire keeps its state or monitor slab.
 func TestFrontierSwapReleasesDeadNodes(t *testing.T) {
-	const dead = 64
-	var finalized atomic.Int64
+	const wide = 64
+	var deadStates, deadMonitors atomic.Int64
+	var batch arenaBatch
 
-	frontier := make([]*node, 0, dead)
-	for i := 0; i < dead; i++ {
-		nd := &node{depth: i}
-		runtime.SetFinalizer(nd, func(*node) { finalized.Add(1) })
-		frontier = append(frontier, nd)
-	}
-	live := &node{depth: dead}
-	bufs := []workerBufs{{next: []*node{live}}}
+	root := newRootLevel(1, 0, 1, 1)
+	wideLvl := nextArenaLevel(root)
+	func() { // keep the probes out of this frame's live variables
+		for i := 0; i < wide; i++ {
+			st, mon := &probe{id: i}, &probe{id: i}
+			runtime.SetFinalizer(st, func(*probe) { deadStates.Add(1) })
+			runtime.SetFinalizer(mon, func(*probe) { deadMonitors.Add(1) })
+			batch.add(root, 0, &succ{state: st, monitor: mon, action: ioa.Wake(ioa.TR), usedIdx: -1})
+		}
+	}()
+	wideLvl.absorb(&batch)
+	root.retire()
 
-	// The BFS barrier swap: next generation promoted into the spare,
-	// the old frontier scrubbed and retained as the next spare.
-	spare := make([]*node, 0, dead)
-	next := promoteNext(spare, bufs)
-	spare = clearNodeSlice(frontier)
-	frontier = next
+	live := &probe{id: -1}
+	narrow := nextArenaLevel(wideLvl)
+	batch.add(wideLvl, wide-1, &succ{state: live, monitor: live, action: ioa.Wake(ioa.RT), usedIdx: 0})
+	narrow.absorb(&batch)
+	wideLvl.retire()
 
 	deadline := time.Now().Add(5 * time.Second)
-	for finalized.Load() < dead && time.Now().Before(deadline) {
+	for (deadStates.Load() < wide || deadMonitors.Load() < wide) && time.Now().Before(deadline) {
 		runtime.GC()
 		time.Sleep(time.Millisecond)
 	}
-	if got := finalized.Load(); got != dead {
-		t.Errorf("only %d/%d dead nodes were collected; the spare slice is pinning the retired generation", got, dead)
+	if got := deadStates.Load(); got != wide {
+		t.Errorf("only %d/%d states of the retired wide level were collected", got, wide)
 	}
-	if cap(spare) != dead {
-		t.Errorf("spare lost its capacity: %d, want %d", cap(spare), dead)
+	if got := deadMonitors.Load(); got != wide {
+		t.Errorf("only %d/%d monitors of the retired wide level were collected", got, wide)
 	}
-	if len(frontier) != 1 || frontier[0] != live {
-		t.Fatalf("live node lost by the swap")
+	if narrow.size() != 1 || narrow.states[0] != live || narrow.monitors[0] != live {
+		t.Fatal("narrow level lost its node")
 	}
-	runtime.KeepAlive(spare)
-	runtime.KeepAlive(frontier)
+	if got := narrow.unpackUsed(0, nil); !got[0] {
+		t.Error("narrow node lost its used bit")
+	}
+	want := ioa.Schedule{ioa.Wake(ioa.TR), ioa.Wake(ioa.RT)}
+	if got := narrow.appendTraceOf(nil, 0); len(got) != 2 || got[0] != want[0] || got[1] != want[1] {
+		t.Errorf("trace through the retired level = %v, want %v", got, want)
+	}
+	runtime.KeepAlive(narrow)
+	runtime.KeepAlive(&batch)
 }

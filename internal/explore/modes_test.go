@@ -7,12 +7,12 @@ import (
 	"testing"
 
 	"repro/internal/core"
-	"repro/internal/ioa"
 )
 
-// searchMode is one frontier/seen-set representation under test. The
-// spill thresholds are tiny on purpose so even these small searches
-// push sums to disk and through at least one run merge.
+// searchMode is one seen-set representation under test; the first mode
+// (the in-memory hashed set) is the reference. The spill threshold is
+// tiny on purpose so even these small searches push sums to disk and
+// through at least one run merge.
 type searchMode struct {
 	name string
 	mod  func(t *testing.T, cfg *Config)
@@ -21,26 +21,19 @@ type searchMode struct {
 func allModes(t *testing.T) []searchMode {
 	t.Helper()
 	return []searchMode{
-		{"classic", func(t *testing.T, cfg *Config) {}},
-		{"arena", func(t *testing.T, cfg *Config) { cfg.Arena = true }},
+		{"memory", func(t *testing.T, cfg *Config) {}},
 		{"spill", func(t *testing.T, cfg *Config) {
-			cfg.SpillDir = t.TempDir()
-			cfg.SpillThreshold = 256
-		}},
-		{"spill+arena", func(t *testing.T, cfg *Config) {
-			cfg.Arena = true
 			cfg.SpillDir = t.TempDir()
 			cfg.SpillThreshold = 256
 		}},
 	}
 }
 
-// TestModesEquivalence: the disk-spill seen-set and the frontier arena
-// are pure representation changes — for both the violating and the
-// clean exhaustive workload, under every combination of worker count,
-// symmetry, and POR, each mode must reproduce the classic in-memory
-// run bit-for-bit: same verdict, same trace, same StatesExplored and
-// DepthReached.
+// TestModesEquivalence: the disk-spill seen-set is a pure
+// representation change — for both the violating and the clean
+// exhaustive workload, under every combination of worker count,
+// symmetry, and POR, it must reproduce the in-memory run bit-for-bit:
+// same verdict, same trace, same StatesExplored and DepthReached.
 func TestModesEquivalence(t *testing.T) {
 	workloads := []struct {
 		name  string
@@ -68,7 +61,7 @@ func TestModesEquivalence(t *testing.T) {
 							if err != nil {
 								t.Fatalf("%s: %v", mode.name, err)
 							}
-							if mode.name == "classic" {
+							if want == nil {
 								want = res
 								continue
 							}
@@ -95,9 +88,9 @@ func TestModesEquivalence(t *testing.T) {
 
 // TestModesCheckpointBytesIdentical: a checkpoint is a statement about
 // the search, not about the data structures that ran it — so the file a
-// spilling arena run writes at level k must be byte-identical to the
-// one the classic run writes, given the same hash seed. The seed is
-// forced equal by resuming all modes from one level-1 checkpoint.
+// spilling run writes at level k must be byte-identical to the one the
+// in-memory run writes, given the same hash seed. The seed is forced
+// equal by resuming both modes from one level-1 checkpoint.
 func TestModesCheckpointBytesIdentical(t *testing.T) {
 	sys, seedCfg := verifySearch(t)
 	dir := t.TempDir()
@@ -125,20 +118,20 @@ func TestModesCheckpointBytesIdentical(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", mode.name, err)
 		}
-		if mode.name == "classic" {
+		if want == nil {
 			want = blob
 			continue
 		}
 		if string(blob) != string(want) {
-			t.Errorf("%s: checkpoint differs from classic (%d vs %d bytes)", mode.name, len(blob), len(want))
+			t.Errorf("%s: checkpoint differs from the in-memory one (%d vs %d bytes)", mode.name, len(blob), len(want))
 		}
 	}
 }
 
-// TestModesCrossResume: a checkpoint written under one representation
-// must resume under any other — configDigest deliberately excludes
-// SpillDir/SpillThreshold/Arena — and finish with the classic
-// uninterrupted result.
+// TestModesCrossResume: a checkpoint written under one seen-set
+// representation must resume under the other — configDigest
+// deliberately excludes SpillDir/SpillThreshold — and finish with the
+// uninterrupted in-memory result.
 func TestModesCrossResume(t *testing.T) {
 	sys, baseCfg := crashSearch(t)
 	want, err := BFS(sys, baseCfg)
@@ -188,71 +181,32 @@ func TestSpillConfigRejected(t *testing.T) {
 	}
 }
 
-// BenchmarkFrontierPromotion isolates the per-admission cost the arena
-// exists to cut: materializing one generation of the frontier from its
-// parents. The classic path allocates a heap *node (plus a used-bitmap
-// copy on pool admissions) per successor; the arena path appends to
-// reused parallel slabs and bit-packs the bitmap. B/op and allocs/op
-// are the figures of merit — in a full search successor-state cloning
-// dominates wall clock, so the win only shows up isolated here and as
-// retained frontier bytes at scale.
+// BenchmarkFrontierPromotion isolates the per-admission cost of the
+// frontier layout: materializing one generation of the frontier from
+// its parents by appending to reused parallel slabs and bit-packing the
+// used bitmap. B/op and allocs/op are the figures of merit — in a full
+// search successor-state cloning dominates wall clock, so admission
+// cost only shows up isolated here and as retained frontier bytes at
+// scale.
 func BenchmarkFrontierPromotion(b *testing.B) {
 	const parents, succs, inputs = 1024, 4, 4
-	usedStride := (inputs + 63) / 64
 	actions := pool(2)
-
-	b.Run("classic", func(b *testing.B) {
-		level := make([]*node, parents)
-		for i := range level {
-			level[i] = &node{used: make([]bool, inputs), depth: 3}
-		}
-		next := make([]*node, 0, parents*succs)
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			next = next[:0]
-			for pi, parent := range level {
-				for sj := 0; sj < succs; sj++ {
-					used := parent.used
-					if sj == 0 { // one pool admission per parent, as in a typical level
-						used = append([]bool(nil), parent.used...)
-						used[pi%inputs] = true
-					}
-					next = append(next, &node{
-						used: used, depth: parent.depth + 1,
-						parent: parent, action: actions[sj%len(actions)],
-					})
+	level := newRootLevel(parents, 3, inputs, (inputs+63)/64)
+	var batch arenaBatch
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		next := nextArenaLevel(level)
+		for pi := 0; pi < parents; pi++ {
+			for sj := 0; sj < succs; sj++ {
+				s := succ{action: actions[sj%len(actions)], usedIdx: -1}
+				if sj == 0 { // one pool admission per parent, as in a typical level
+					s.usedIdx = pi % inputs
 				}
+				batch.add(level, pi, &s)
 			}
 		}
-		b.ReportMetric(float64(parents*succs), "nodes/gen")
-	})
-
-	b.Run("arena", func(b *testing.B) {
-		level := &arenaLevel{
-			inputs: inputs, usedStride: usedStride, depth: 3,
-			actions:  make([]ioa.Action, parents),
-			parents:  make([]uint32, parents),
-			states:   make([]ioa.State, parents),
-			monitors: make([]Monitor, parents),
-			usedBits: make([]uint64, parents*usedStride),
-		}
-		var batch arenaBatch
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			next := nextArenaLevel(level)
-			for pi := 0; pi < parents; pi++ {
-				for sj := 0; sj < succs; sj++ {
-					s := succ{action: actions[sj%len(actions)], usedIdx: -1}
-					if sj == 0 {
-						s.usedIdx = pi % inputs
-					}
-					batch.add(level, pi, &s)
-				}
-			}
-			next.absorb(&batch)
-		}
-		b.ReportMetric(float64(parents*succs), "nodes/gen")
-	})
+		next.absorb(&batch)
+	}
+	b.ReportMetric(float64(parents*succs), "nodes/gen")
 }
