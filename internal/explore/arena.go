@@ -14,9 +14,9 @@ import (
 // A live level holds states and monitors as interface slabs, the
 // inputs-used bitmaps bit-packed into a single []uint64 at usedStride
 // words per node, the incoming action per node, and the parent link as a
-// 32-bit index into the previous level's slabs. Workers accumulate
-// admissions in private arenaBatch slabs (no per-node allocation), which
-// the barrier concatenates in worker order.
+// 32-bit index into the previous level's slabs. The level's in-order
+// commit accumulates admissions in one reused arenaBatch (no per-node
+// allocation), which the barrier absorbs into the next level.
 //
 // Once a level has been fully expanded it is retired: the state, monitor
 // and bitmap slabs are dropped and only the action + parent-index

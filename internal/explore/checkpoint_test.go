@@ -312,8 +312,8 @@ func TestResumeEquivalenceEveryLevel(t *testing.T) {
 
 // TestResumeEquivalenceVerifyingRun: the same equivalence on a clean
 // exhaustive search at a sample of interrupt levels, in both dedup
-// modes, and resuming with a different worker count (StatesExplored and
-// DepthReached are Workers-independent for exhaustive searches).
+// modes, and resuming with a different worker count (the Result is
+// Workers-independent).
 func TestResumeEquivalenceVerifyingRun(t *testing.T) {
 	for _, exact := range []bool{false, true} {
 		sys, base := verifySearch(t)

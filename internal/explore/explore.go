@@ -15,12 +15,14 @@
 //
 // The search is a level-synchronous parallel BFS: each depth level is a
 // barrier, and within a level a pool of Config.Workers goroutines expands
-// frontier nodes concurrently, deduplicating successors through a sharded
-// hashed seen-set (see seenset.go) and building dedup keys into per-worker
-// reused buffers via the AppendFingerprint fast paths. Because levels
-// remain barriers, every node at depths below the first violating level is
-// fully expanded before that level is entered, so a returned trace is a
-// shortest violating schedule regardless of worker count.
+// chunks of frontier nodes concurrently, building dedup keys into reused
+// chunk buffers via the AppendFingerprint fast paths. The chunks are then
+// committed in frontier order — deduplicated through the hashed seen-set
+// (see seenset.go) and admitted exactly as a sequential scan would — so
+// worker count changes only speed, never the Result or a checkpoint.
+// Because levels are barriers, every node at depths below the first
+// violating level is fully expanded before that level is entered, so a
+// returned trace is a shortest violating schedule.
 //
 // Each frontier level is laid out as flat slabs with 32-bit parent
 // offsets rather than one heap object per state (arena.go), and
@@ -31,10 +33,10 @@
 package explore
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -89,10 +91,9 @@ type Config struct {
 	// AllowLoss explores internal lose actions of lossy channels.
 	AllowLoss bool
 	// Workers is the number of goroutines expanding each BFS level; 0 or 1
-	// runs sequentially. Levels are barriers, so the depth of the first
-	// violation — and hence the returned trace length — does not depend on
-	// Workers; for exhaustive (violation-free, within-budget) searches,
-	// StatesExplored and DepthReached are also Workers-independent.
+	// runs sequentially. It is a pure performance knob: successors are
+	// committed in frontier order, so the Result and every checkpoint are
+	// identical for any worker count.
 	Workers int
 	// ExactDedup deduplicates on full fingerprint keys instead of 64-bit
 	// hashes: the collision-paranoid escape hatch, at ~key-length bytes
@@ -277,6 +278,9 @@ type search struct {
 	ins       instruments
 	began     time.Time
 	spillPrev spillStats
+
+	// chunks recycles expandLevel's chunk buffers across levels.
+	chunks []*chunk
 }
 
 // succ is one successor produced by expand: a value, not a node. Only
@@ -294,14 +298,10 @@ type succ struct {
 	violation *Violation
 }
 
-// workerBufs is one worker's reused scratch: the dedup-key buffer, the
-// expand successor buffer, the worker's admission batch for the next
-// level and the used-bitmap unpack buffer. All persist across levels, so
-// steady-state expansion allocates nothing per successor.
+// workerBufs is one worker's reused scratch: the used-bitmap unpack
+// buffer and the canonicalisation state its dedup keys are built with.
+// All persist across levels.
 type workerBufs struct {
-	key      []byte
-	succ     []succ
-	batch    arenaBatch
 	usedView []bool
 	// canon is the worker's token-canonicalisation table (nil unless
 	// symmetry reduction is active); classCnt is its per-class used-count
@@ -310,16 +310,14 @@ type workerBufs struct {
 	classCnt []int
 }
 
-// foundViolation is a violation found while expanding a level, tagged with
-// its (frontier index, successor index) so the earliest-in-frontier-order
-// one can be preferred; with Workers == 1 that is exactly the violation a
-// sequential scan finds first. The trace is reconstructed at the barrier
-// as the parent's schedule plus the violating action.
+// foundViolation is the first violation a level's in-order commit meets:
+// the one a sequential scan finds first, for any worker count. The trace
+// is reconstructed at the barrier as the schedule of the parent at
+// frontIdx plus the violating action.
 type foundViolation struct {
 	violation *Violation
 	action    ioa.Action
 	frontIdx  int
-	succIdx   int
 }
 
 // BFS explores the system breadth-first from its start state. The returned
@@ -425,6 +423,7 @@ func BFS(sys *core.System, cfg Config) (*Result, error) {
 		s.count.Store(1)
 	}
 	ck := newCheckpointer(s, cfg.Checkpoint)
+	var batch arenaBatch // the next level's admissions, reused across levels
 	for cur.size() > 0 {
 		depth := cur.depth
 		res.DepthReached = depth
@@ -432,7 +431,7 @@ func BFS(sys *core.System, cfg Config) (*Result, error) {
 			res.DepthLimited = true
 			break
 		}
-		found, err := s.expandLevel(cur, bufs, workers)
+		found, err := s.expandLevel(cur, &batch, bufs, workers)
 		if err != nil {
 			return nil, err
 		}
@@ -441,11 +440,7 @@ func BFS(sys *core.System, cfg Config) (*Result, error) {
 		if err := s.seenErr(); err != nil {
 			return nil, err
 		}
-		admitted := 0
-		for w := range bufs {
-			admitted += bufs[w].batch.size()
-		}
-		s.observeLevel(depth, cur.size(), admitted)
+		s.observeLevel(depth, cur.size(), batch.size())
 		s.observeSpill()
 		if found != nil {
 			res.Violation = found.violation
@@ -457,9 +452,7 @@ func BFS(sys *core.System, cfg Config) (*Result, error) {
 			break
 		}
 		next := nextArenaLevel(cur)
-		for w := range bufs {
-			next.absorb(&bufs[w].batch)
-		}
+		next.absorb(&batch)
 		cur.retire()
 		cur = next
 		// Level barrier: the frontier is a complete cut of the search, so
@@ -514,108 +507,122 @@ func stopRequested(stop <-chan struct{}) bool {
 	}
 }
 
-// levelBatch is how many frontier nodes a worker claims per cursor bump:
-// large enough to amortise the atomic, small enough to balance skewed
-// expansion costs.
+// levelBatch is how many frontier nodes make one chunk: the unit a worker
+// claims, expands and hands to the in-order commit. Large enough to
+// amortise the hand-off, small enough to balance skewed expansion costs.
 const levelBatch = 32
 
-// expandLevel expands one BFS level with the configured worker pool. Each
-// worker claims batches of frontier indices from an atomic cursor, builds
-// dedup keys in its private reused buffer, and admits fresh successors to
-// its private batch slab; the caller concatenates those in worker order
-// after the barrier. The first violation (in frontier order among those
-// seen) or error cancels the level's context so the other workers stop
-// early.
-func (s *search) expandLevel(lvl *arenaLevel, bufs []workerBufs, workers int) (*foundViolation, error) {
-	if lvl.size() > math.MaxUint32 {
-		return nil, fmt.Errorf("explore: level of %d nodes overflows 32-bit arena offsets", lvl.size())
+// commitWindow bounds, per worker, how many chunks may sit expanded but
+// uncommitted, so one slow chunk cannot make the others buffer a whole
+// level's successors.
+const commitWindow = 4
+
+// chunk is one expanded run of levelBatch frontier nodes awaiting its
+// commit: every successor in serial (node, successor) order with its
+// parent index and dedup key, cut after the first violation. Chunks are
+// recycled across levels, so steady-state expansion allocates nothing per
+// successor.
+type chunk struct {
+	succs   []succ
+	parents []uint32 // frontier index of succs[k]'s parent
+	// keys[keyEnds[k-1]:keyEnds[k]] is succs[k]'s dedup key (empty for a
+	// violating successor, which is never deduplicated). keyEnds may be
+	// shorter than succs when expansion failed.
+	keyEnds []int
+	keys    []byte
+	err     error
+}
+
+// reset empties the chunk for reuse, dropping its state and monitor
+// references so a recycled chunk pins nothing.
+func (ch *chunk) reset() {
+	clear(ch.succs)
+	ch.succs = ch.succs[:0]
+	ch.parents = ch.parents[:0]
+	ch.keyEnds = ch.keyEnds[:0]
+	ch.keys = ch.keys[:0]
+	ch.err = nil
+}
+
+// expandLevel expands one BFS level with the configured worker pool,
+// admitting fresh successors to next. Workers claim chunks of frontier
+// indices in order and expand them concurrently — successor states,
+// monitor steps and dedup keys are the parallel share of the work — but
+// chunks are committed strictly in frontier order: seen-set probes, the
+// state count, the MaxStates budget, admission and the violation check
+// all run as a sequential scan would. The next level's order, its
+// duplicate representatives, the reported violation and StatesExplored
+// are therefore identical for every worker count. Whichever worker
+// publishes the next chunk in line commits it (and any already waiting
+// behind it); the first violation or error in commit order halts the
+// level.
+func (s *search) expandLevel(lvl *arenaLevel, next *arenaBatch, bufs []workerBufs, workers int) (*foundViolation, error) {
+	size := lvl.size()
+	if size > math.MaxUint32 {
+		return nil, fmt.Errorf("explore: level of %d nodes overflows 32-bit arena offsets", size)
 	}
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
+	nchunks := (size + levelBatch - 1) / levelBatch
+	workers = max(1, min(workers, nchunks))
 
 	var (
-		cursor   atomic.Int64
-		mu       sync.Mutex
-		best     *foundViolation
-		firstErr error
+		claimed atomic.Int64
+		// mu guards everything below; advanced signals a commit.
+		mu         sync.Mutex
+		advanced   = sync.NewCond(&mu)
+		ready      = make([]*chunk, nchunks) // expanded, awaiting commit
+		committed  int                       // chunks committed so far
+		committing bool                      // a worker is running commits
+		last       = nchunks - 1             // no chunk past a violating one is needed
+		halted     bool
+		best       *foundViolation
+		firstErr   error
 	)
-	report := func(fv *foundViolation, err error) {
-		mu.Lock()
-		if err != nil && firstErr == nil {
-			firstErr = err
-		}
-		if fv != nil && (best == nil || fv.frontIdx < best.frontIdx ||
-			(fv.frontIdx == best.frontIdx && fv.succIdx < best.succIdx)) {
-			best = fv
-		}
-		mu.Unlock()
-		cancel()
-	}
-
-	size := lvl.size()
 	work := func(w int) {
-		b := &bufs[w]
-		for ctx.Err() == nil {
-			i := int(cursor.Add(levelBatch)) - levelBatch
-			if i >= size {
+		for {
+			c := int(claimed.Add(1)) - 1
+			mu.Lock()
+			for !halted && c <= last && c >= committed+commitWindow*workers {
+				advanced.Wait()
+			}
+			if halted || c > last {
+				mu.Unlock()
 				return
 			}
-			end := min(i+levelBatch, size)
-			for ; i < end; i++ {
-				if ctx.Err() != nil {
-					return
-				}
-				b.usedView = lvl.unpackUsed(i, b.usedView)
-				sl, err := s.expand(lvl, i, b.usedView, b.succ[:0])
-				b.succ = sl
-				if err != nil {
-					report(nil, err)
-					return
-				}
-				s.ins.workers[w].Inc()
-				s.ins.expanded.Inc()
-				s.ins.fanout.Observe(int64(len(sl)))
-				if s.por {
-					s.ins.ampleSize.Observe(int64(len(sl)))
-				}
-				for j := range sl {
-					sj := &sl[j]
-					if sj.violation != nil {
-						report(&foundViolation{
-							violation: sj.violation, action: sj.action,
-							frontIdx: i, succIdx: j,
-						}, nil)
-						return
-					}
-					var renames0 int64
-					if b.canon != nil {
-						renames0 = b.canon.Assigned()
-					}
-					b.key, err = s.appendDedupKey(b.key[:0], sj.state, sj.monitor, b.usedView, sj.usedIdx, b)
-					if err != nil {
-						report(nil, err)
-						return
-					}
-					if b.canon != nil {
-						s.levelRenames.Add(b.canon.Assigned() - renames0)
-					}
-					if !s.seen.Add(b.key) {
-						s.ins.dedupHit.Inc()
-						continue
-					}
-					s.ins.dedupMiss.Inc()
-					if s.count.Add(1) > s.maxStates {
-						s.truncated.Store(true)
-						continue
-					}
-					s.ins.admitted.Inc()
-					b.batch.add(lvl, i, sj)
-				}
+			ch := s.takeChunk()
+			mu.Unlock()
+
+			s.expandChunk(lvl, c, ch, &bufs[w], w)
+
+			mu.Lock()
+			ready[c] = ch
+			if ch.err == nil && len(ch.succs) > 0 && ch.succs[len(ch.succs)-1].violation != nil {
+				last = min(last, c)
 			}
+			if committing {
+				mu.Unlock()
+				continue
+			}
+			committing = true
+			for !halted && committed < nchunks && ready[committed] != nil {
+				r := ready[committed]
+				ready[committed] = nil
+				mu.Unlock()
+				fv, err := s.commitChunk(lvl, r, next)
+				mu.Lock()
+				r.reset()
+				s.chunks = append(s.chunks, r)
+				committed++
+				if fv != nil || err != nil {
+					best, firstErr, halted = fv, err, true
+				}
+				advanced.Broadcast()
+			}
+			committing = false
+			mu.Unlock()
 		}
 	}
 
-	if workers == 1 || size <= 1 {
+	if workers == 1 {
 		work(0)
 	} else {
 		var wg sync.WaitGroup
@@ -628,9 +635,92 @@ func (s *search) expandLevel(lvl *arenaLevel, bufs []workerBufs, workers int) (*
 		}
 		wg.Wait()
 	}
-	mu.Lock()
-	defer mu.Unlock()
 	return best, firstErr
+}
+
+// takeChunk pops a recycled chunk or makes one (caller holds the level's
+// commit lock).
+func (s *search) takeChunk() *chunk {
+	if n := len(s.chunks); n > 0 {
+		ch := s.chunks[n-1]
+		s.chunks = s.chunks[:n-1]
+		return ch
+	}
+	return new(chunk)
+}
+
+// expandChunk is the parallel half of a level: it expands frontier nodes
+// [c*levelBatch, (c+1)*levelBatch) into ch, building each successor's
+// dedup key, and stops after the first violating successor — a
+// sequential scan never looks past it.
+func (s *search) expandChunk(lvl *arenaLevel, c int, ch *chunk, b *workerBufs, w int) {
+	end := min((c+1)*levelBatch, lvl.size())
+	for i := c * levelBatch; i < end; i++ {
+		b.usedView = lvl.unpackUsed(i, b.usedView)
+		from := len(ch.succs)
+		var err error
+		ch.succs, err = s.expand(lvl, i, b.usedView, ch.succs)
+		if err != nil {
+			ch.err = err
+			return
+		}
+		s.ins.workers[w].Inc()
+		s.ins.expanded.Inc()
+		s.ins.fanout.Observe(int64(len(ch.succs) - from))
+		if s.por {
+			s.ins.ampleSize.Observe(int64(len(ch.succs) - from))
+		}
+		for j := from; j < len(ch.succs); j++ {
+			sj := &ch.succs[j]
+			ch.parents = append(ch.parents, uint32(i))
+			if sj.violation != nil {
+				ch.keyEnds = append(ch.keyEnds, len(ch.keys))
+				clear(ch.succs[j+1:])
+				ch.succs = ch.succs[:j+1]
+				return
+			}
+			var renames0 int64
+			if b.canon != nil {
+				renames0 = b.canon.Assigned()
+			}
+			ch.keys, err = s.appendDedupKey(ch.keys, sj.state, sj.monitor, b.usedView, sj.usedIdx, b)
+			if err != nil {
+				ch.err = err
+				return
+			}
+			if b.canon != nil {
+				s.levelRenames.Add(b.canon.Assigned() - renames0)
+			}
+			ch.keyEnds = append(ch.keyEnds, len(ch.keys))
+		}
+	}
+}
+
+// commitChunk is the sequential half of a level: in (node, successor)
+// order it stops at a violation, probes the seen-set, charges the state
+// budget and admits fresh successors to next.
+func (s *search) commitChunk(lvl *arenaLevel, ch *chunk, next *arenaBatch) (*foundViolation, error) {
+	start := 0
+	for k, end := range ch.keyEnds {
+		sj := &ch.succs[k]
+		if sj.violation != nil {
+			return &foundViolation{violation: sj.violation, action: sj.action, frontIdx: int(ch.parents[k])}, nil
+		}
+		key := ch.keys[start:end]
+		start = end
+		if !s.seen.Add(key) {
+			s.ins.dedupHit.Inc()
+			continue
+		}
+		s.ins.dedupMiss.Inc()
+		if s.count.Add(1) > s.maxStates {
+			s.truncated.Store(true)
+			continue
+		}
+		s.ins.admitted.Inc()
+		next.add(lvl, int(ch.parents[k]), sj)
+	}
+	return nil, ch.err
 }
 
 // appendDedupKey appends the key identifying nodes with indistinguishable
@@ -713,8 +803,8 @@ func (s *search) appendDedupKey(dst []byte, state ioa.State, monitor Monitor, us
 // pool input (the first unused instance of each distinct action) and
 // every eligible enabled locally-controlled action. used is the node's
 // unpacked inputs-used bitmap. Successors are values; out's backing array
-// is the caller's reused buffer, and no node or bitmap is materialised
-// here — that happens on admission.
+// is the caller's reused chunk buffer, and no node or bitmap is
+// materialised here — that happens on admission.
 //
 // Packet IDs are assigned canonically as the per-channel send index
 // ((PL2)'s uniqueness is per channel direction): structurally identical
@@ -724,9 +814,7 @@ func (s *search) appendDedupKey(dst []byte, state ioa.State, monitor Monitor, us
 func (s *search) expand(lvl *arenaLevel, n int, used []bool, out []succ) ([]succ, error) {
 	state, monitor, incoming := lvl.states[n], lvl.monitors[n], lvl.actions[n]
 	enabled := s.sys.Comp.Enabled(state)
-	if need := len(s.cfg.Inputs) + len(enabled); cap(out) < need {
-		out = make([]succ, 0, need)
-	}
+	out = slices.Grow(out, len(s.cfg.Inputs)+len(enabled))
 	apply := func(a ioa.Action, usedIdx int) error {
 		if a.Kind == ioa.KindSendPkt && a.Pkt.ID == 0 {
 			cs, err := s.sys.ChannelState(state, a.Dir)

@@ -9,10 +9,11 @@ import (
 	"repro/internal/core"
 )
 
-// searchMode is one seen-set representation under test; the first mode
-// (the in-memory hashed set) is the reference. The spill threshold is
-// tiny on purpose so even these small searches push sums to disk and
-// through at least one run merge.
+// searchMode is one seen-set representation under test. Both run on the
+// arena frontier; "arena" is the plain in-memory run and the reference,
+// "spill" moves the seen-set to disk. The spill threshold is tiny on
+// purpose so even these small searches push sums to disk and through at
+// least one run merge.
 type searchMode struct {
 	name string
 	mod  func(t *testing.T, cfg *Config)
@@ -21,7 +22,7 @@ type searchMode struct {
 func allModes(t *testing.T) []searchMode {
 	t.Helper()
 	return []searchMode{
-		{"memory", func(t *testing.T, cfg *Config) {}},
+		{"arena", func(t *testing.T, cfg *Config) {}},
 		{"spill", func(t *testing.T, cfg *Config) {
 			cfg.SpillDir = t.TempDir()
 			cfg.SpillThreshold = 256

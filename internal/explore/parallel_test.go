@@ -2,6 +2,8 @@ package explore
 
 import (
 	"fmt"
+	"os"
+	"path/filepath"
 	"sync"
 	"testing"
 
@@ -85,37 +87,63 @@ func runCase(t *testing.T, c searchCase, mutate func(*Config)) *Result {
 	return res
 }
 
-// TestParallelMatchesSequential: because BFS levels are barriers, worker
-// count must not change what is explored. Exhaustive searches must agree
-// exactly on StatesExplored/DepthReached/Exhausted; violating searches
-// must agree on the property and on the trace length (the shortest-
-// counterexample guarantee — the specific trace may differ, since workers
-// race within the violating level). Run with -race this doubles as the
-// explorer's data-race test.
+// TestParallelMatchesSequential: Workers is a pure performance knob.
+// Expansion runs in parallel but successors are committed in frontier
+// order, so every worker count must reproduce the sequential Result
+// exactly — verdict, the very same trace, StatesExplored and
+// DepthReached — on the violating searches as well as the exhaustive
+// ones. Run with -race this doubles as the explorer's data-race test.
 func TestParallelMatchesSequential(t *testing.T) {
 	for _, c := range searchCases() {
 		t.Run(c.name, func(t *testing.T) {
 			base := runCase(t, c, func(cfg *Config) { cfg.Workers = 1 })
 			for _, w := range []int{2, 4, 8} {
 				res := runCase(t, c, func(cfg *Config) { cfg.Workers = w })
-				if c.violating {
-					if res.Violation.Property != base.Violation.Property {
-						t.Errorf("workers=%d: property %s, want %s", w, res.Violation.Property, base.Violation.Property)
-					}
-					if len(res.Trace) != len(base.Trace) {
-						t.Errorf("workers=%d: trace length %d, want %d", w, len(res.Trace), len(base.Trace))
-					}
-					continue
-				}
-				if res.StatesExplored != base.StatesExplored ||
-					res.DepthReached != base.DepthReached ||
-					res.Exhausted != base.Exhausted {
-					t.Errorf("workers=%d: (states=%d depth=%d exhausted=%t), want (%d, %d, %t)",
-						w, res.StatesExplored, res.DepthReached, res.Exhausted,
-						base.StatesExplored, base.DepthReached, base.Exhausted)
-				}
+				requireEqualResults(t, fmt.Sprintf("workers=%d", w), res, base)
 			}
 		})
+	}
+}
+
+// TestWorkersCheckpointBytesIdentical: the frontier order and each
+// state's representative do not depend on goroutine timing, so a
+// checkpoint written by a parallel run must be byte-identical to the
+// sequential run's. The cut is taken deep enough for levels to span
+// several chunks; the hash seed is forced equal by resuming every run
+// from one level-1 checkpoint.
+func TestWorkersCheckpointBytesIdentical(t *testing.T) {
+	sys, seedCfg := verifySearch(t)
+	dir := t.TempDir()
+	seedPath := filepath.Join(dir, "seed.ckpt")
+	stopAtLevel(&seedCfg, 1, seedPath)
+	if _, err := BFS(sys, seedCfg); err != nil {
+		t.Fatal(err)
+	}
+	seedCk, err := ReadCheckpoint(seedPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want []byte
+	for _, workers := range []int{1, 2, 4} {
+		_, cfg := verifySearch(t)
+		cfg.Workers = workers
+		cfg.Resume = seedCk
+		path := filepath.Join(dir, fmt.Sprintf("w%d.ckpt", workers))
+		stopAtLevel(&cfg, 10, path)
+		if _, err := BFS(sys, cfg); err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
+		}
+		blob, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want == nil {
+			want = blob
+			continue
+		}
+		if string(blob) != string(want) {
+			t.Errorf("workers=%d: checkpoint differs from the sequential one (%d vs %d bytes)", workers, len(blob), len(want))
+		}
 	}
 }
 
