@@ -2,18 +2,22 @@
 # analyzers + full tests + the race-detector pass over the concurrent
 # packages (the parallel explorer, the scheduler and the swarm worker
 # pool), plus the swarm, fuzz, observability, checkpoint/resume,
-# reduction A/B, spill and serving smoke runs and the benchmark
-# harness's tests.
+# reduction A/B and serving smoke runs and the benchmark harness's tests.
 
 GO ?= go
 
-.PHONY: build test vet lint lint-json lint-sarif race swarm-smoke fuzz-smoke obs-smoke checkpoint-smoke reduction-smoke spill-smoke serve-smoke admin-smoke bench-test ci bench-explore bench
+.PHONY: build test vet lint lint-json lint-sarif race swarm-smoke fuzz-smoke obs-smoke checkpoint-smoke reduction-smoke serve-smoke admin-smoke bench-test ci bench-explore bench
 
 build:
 	$(GO) build ./...
 
+# The default run covers GOMAXPROCS = nproc; the -cpu 1,4 pass re-runs
+# the concurrent packages fully interleaved on one P and oversubscribed
+# on four, so worker-count determinism is exercised whatever the host's
+# core count.
 test:
 	$(GO) test ./...
+	$(GO) test -cpu 1,4 ./internal/explore/... ./internal/swarm/... ./internal/transport/...
 
 vet:
 	$(GO) vet ./...
@@ -61,7 +65,6 @@ fuzz-smoke:
 	$(GO) test -run FuzzCheckersContainment -fuzz FuzzCheckersContainment -fuzztime 10s ./internal/spec/
 	$(GO) test -run FuzzChannelInvariants -fuzz FuzzChannelInvariants -fuzztime 10s ./internal/channel/
 	$(GO) test -run FuzzCheckpointDecode -fuzz FuzzCheckpointDecode -fuzztime 10s ./internal/explore/
-	$(GO) test -run FuzzSpillRunDecode -fuzz FuzzSpillRunDecode -fuzztime 10s ./internal/explore/
 	$(GO) test -run FuzzFrameDecode -fuzz FuzzFrameDecode -fuzztime 10s ./internal/transport/
 
 # End-to-end observability smoke: run both instrumented binaries with
@@ -126,42 +129,6 @@ reduction-smoke:
 	echo "reduction-smoke: $$base -> $$red states"; test "$$red" -lt "$$base"
 	rm -f /tmp/red-smoke-explore /tmp/red-smoke-base.txt /tmp/red-smoke-reduced.txt \
 		/tmp/red-smoke-want.txt /tmp/red-smoke-got.txt
-
-# Memory-bound-run smoke through the real binary: the e11 workload with
-# a deliberately tiny -spill-threshold (forcing run files onto disk and
-# through the compacting merge) must certify exactly what the in-memory
-# baseline certifies — state count, deepest path, exhausted flag and the
-# verdict line — while visibly spilling.
-# Then the strict run-file decoder, driven through -check-spill-run,
-# must accept a minimal valid artifact and reject a truncated one with
-# a clean diagnosis instead of a panic or silent short read.
-spill-smoke:
-	$(GO) build -o /tmp/spill-smoke-explore ./cmd/explore
-	/tmp/spill-smoke-explore -protocol stenning -fifo=false -msgs 3 -depth 24 -workers 2 \
-		> /tmp/spill-smoke-base.txt 2> /dev/null
-	rm -rf /tmp/spill-smoke-dir
-	/tmp/spill-smoke-explore -protocol stenning -fifo=false -msgs 3 -depth 24 -workers 2 \
-		-spill-dir /tmp/spill-smoke-dir -spill-threshold 4096 \
-		> /tmp/spill-smoke-spill.txt 2> /dev/null
-	grep -o "explored [0-9]* states" /tmp/spill-smoke-base.txt > /tmp/spill-smoke-want.txt
-	grep -o "deepest path [0-9]*, exhausted=[a-z]*" /tmp/spill-smoke-base.txt >> /tmp/spill-smoke-want.txt
-	tail -n 1 /tmp/spill-smoke-base.txt >> /tmp/spill-smoke-want.txt
-	grep -o "explored [0-9]* states" /tmp/spill-smoke-spill.txt > /tmp/spill-smoke-got.txt
-	grep -o "deepest path [0-9]*, exhausted=[a-z]*" /tmp/spill-smoke-spill.txt >> /tmp/spill-smoke-got.txt
-	tail -n 1 /tmp/spill-smoke-spill.txt >> /tmp/spill-smoke-got.txt
-	cmp /tmp/spill-smoke-want.txt /tmp/spill-smoke-got.txt
-	grep -q "^spill: " /tmp/spill-smoke-spill.txt
-	! grep -q "^spill: 0 spills" /tmp/spill-smoke-spill.txt
-	printf '{"magic":"dl-explore-spillrun","version":1}\n{"end":1,"count":0,"crc":"dea4da88"}\n' \
-		> /tmp/spill-smoke-run.sums
-	/tmp/spill-smoke-explore -check-spill-run /tmp/spill-smoke-run.sums | grep -q "spill run ok: 0 sums"
-	printf '{"magic":"dl-explore-spillrun","version":1}\n' > /tmp/spill-smoke-trunc.sums
-	( ! /tmp/spill-smoke-explore -check-spill-run /tmp/spill-smoke-trunc.sums \
-		> /dev/null 2> /tmp/spill-smoke-err.txt )
-	grep -q "invalid spill run" /tmp/spill-smoke-err.txt
-	rm -rf /tmp/spill-smoke-explore /tmp/spill-smoke-dir /tmp/spill-smoke-base.txt \
-		/tmp/spill-smoke-spill.txt /tmp/spill-smoke-want.txt /tmp/spill-smoke-got.txt \
-		/tmp/spill-smoke-run.sums /tmp/spill-smoke-trunc.sums /tmp/spill-smoke-err.txt
 
 # Live-traffic smoke through the real binaries: a 100k-message loopback
 # run must come back with a clean verdict, a TCP session through dlserve
@@ -229,7 +196,7 @@ admin-smoke:
 bench-test:
 	$(GO) -C dlbench test .
 
-ci: vet lint test race swarm-smoke fuzz-smoke obs-smoke checkpoint-smoke reduction-smoke spill-smoke serve-smoke admin-smoke bench-test
+ci: vet lint test race swarm-smoke fuzz-smoke obs-smoke checkpoint-smoke reduction-smoke serve-smoke admin-smoke bench-test
 
 # Regenerate BENCH_explore.json (model-checker throughput + dedup memory).
 bench-explore:

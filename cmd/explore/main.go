@@ -78,9 +78,6 @@ type options struct {
 	exactDedup bool
 	symmetry   bool
 	por        bool
-	spillDir   string
-	spillAt    int
-	checkRun   string
 	cpuProfile string
 	memProfile string
 	tracePath  string
@@ -118,9 +115,6 @@ func main() {
 	flag.BoolVar(&o.exactDedup, "exactdedup", false, "dedup on full fingerprints instead of 64-bit hashes")
 	flag.BoolVar(&o.symmetry, "symmetry", false, "symmetry reduction: dedup on canonical payload/packet-ID fingerprints")
 	flag.BoolVar(&o.por, "por", false, "partial-order reduction: one canonical order for commuting deliveries/losses")
-	flag.StringVar(&o.spillDir, "spill-dir", "", "spill cold seen-set fingerprints to sorted run files in this directory")
-	flag.IntVar(&o.spillAt, "spill-threshold", 0, "in-memory front size triggering a spill (0: the built-in default; needs -spill-dir)")
-	flag.StringVar(&o.checkRun, "check-spill-run", "", "strict-decode this spill run file and exit (maintenance: validates a -spill-dir artifact)")
 	flag.StringVar(&o.cpuProfile, "cpuprofile", "", "write a CPU profile to this file")
 	flag.StringVar(&o.memProfile, "memprofile", "", "write a heap profile to this file")
 	flag.StringVar(&o.tracePath, "trace", "", "write a JSONL trace of the search to this file")
@@ -245,20 +239,9 @@ func progressPrinter(w io.Writer) func(explore.LevelStats) {
 }
 
 func run(o options, out io.Writer) (err error) {
-	if o.checkRun != "" {
-		return checkSpillRun(o.checkRun, out)
-	}
 	p, err := protocol.ByName(o.proto, o.n, o.w)
 	if err != nil {
 		return err
-	}
-	if o.spillAt != 0 && o.spillDir == "" {
-		return errors.New("-spill-threshold needs -spill-dir")
-	}
-	if o.spillDir != "" {
-		if err := os.MkdirAll(o.spillDir, 0o755); err != nil {
-			return fmt.Errorf("-spill-dir: %w", err)
-		}
 	}
 	sys, err := core.NewSystem(p, o.fifo)
 	if err != nil {
@@ -354,23 +337,21 @@ func run(o options, out io.Writer) (err error) {
 	}
 	began := time.Now()
 	res, err := explore.BFS(sys, explore.Config{
-		Inputs:         inputs,
-		Monitor:        explore.NewSafetyMonitor(o.checkFIFO),
-		MaxDepth:       o.depth,
-		MaxStates:      o.maxStates,
-		MaxInTransit:   o.inTransit,
-		Workers:        o.workers,
-		ExactDedup:     o.exactDedup,
-		SpillDir:       o.spillDir,
-		SpillThreshold: o.spillAt,
-		Symmetry:       o.symmetry,
-		POR:            o.por,
-		Metrics:        reg,
-		Trace:          tr,
-		OnLevel:        onLevel,
-		Checkpoint:     ckOpts,
-		Resume:         resume,
-		Stop:           stop,
+		Inputs:       inputs,
+		Monitor:      explore.NewSafetyMonitor(o.checkFIFO),
+		MaxDepth:     o.depth,
+		MaxStates:    o.maxStates,
+		MaxInTransit: o.inTransit,
+		Workers:      o.workers,
+		ExactDedup:   o.exactDedup,
+		Symmetry:     o.symmetry,
+		POR:          o.por,
+		Metrics:      reg,
+		Trace:        tr,
+		OnLevel:      onLevel,
+		Checkpoint:   ckOpts,
+		Resume:       resume,
+		Stop:         stop,
 	})
 	if err != nil {
 		return err
@@ -398,10 +379,6 @@ func run(o options, out io.Writer) (err error) {
 	fmt.Fprintf(out, "explored %d states in %v (%.0f states/sec, deepest path %d, exhausted=%t, seen-set ≈%d bytes)\n",
 		res.StatesExplored, elapsed.Round(time.Millisecond),
 		float64(res.StatesExplored)/elapsed.Seconds(), res.DepthReached, res.Exhausted, res.SeenSetBytes)
-	if sp := res.Spill; sp != nil {
-		fmt.Fprintf(out, "spill: %d spills, %d merges, %d sums in %d runs (%d bytes on disk), %d run probes\n",
-			sp.Spills, sp.Merges, sp.SpilledSums, sp.Runs, sp.DiskBytes, sp.Probes)
-	}
 	if res.Interrupted {
 		if o.checkpoint != "" {
 			fmt.Fprintf(out, "interrupted at a level barrier — checkpoint written to %s (resume with -resume %s)\n",
@@ -425,24 +402,6 @@ func run(o options, out io.Writer) (err error) {
 		return nil
 	}
 	fmt.Fprintf(out, "VIOLATION %s\nshortest trace (%d steps):\n%s", res.Violation, len(res.Trace), ioa.FormatSchedule(res.Trace))
-	return nil
-}
-
-// checkSpillRun strict-decodes one spill run file, so operators can
-// validate (or diagnose) -spill-dir artifacts without a search: a clean
-// file reports its sum count, a corrupt or truncated one surfaces the
-// decoder's ErrSpillFormat diagnosis through the normal error exit.
-func checkSpillRun(path string, out io.Writer) error {
-	f, err := os.Open(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	sums, err := explore.DecodeSpillRun(f)
-	if err != nil {
-		return fmt.Errorf("%s: %w", path, err)
-	}
-	fmt.Fprintf(out, "spill run ok: %d sums\n", len(sums))
 	return nil
 }
 

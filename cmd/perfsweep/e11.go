@@ -84,23 +84,9 @@ type e11Result struct {
 	ReducedStates        int     `json:"reduced_states"`
 	ReducedStatesPerSec  float64 `json:"reduced_states_per_sec"`
 	ReductionRatio       float64 `json:"reduction_ratio"`
-	// Memory-bound-mode A/B: the same workload with the disk-spill
-	// seen-set (tiny threshold forcing real spills), asserted to explore
-	// exactly the baseline state count — the entry records the
-	// representation-equivalence proof the spill-smoke target re-checks
-	// in CI. PeakRSSBytes is the process high-water mark (ru_maxrss)
-	// after all runs.
-	SpillStates       int     `json:"spill_states"`
-	SpillStatesPerSec float64 `json:"spill_states_per_sec"`
-	SpillSeenBytes    int64   `json:"spill_seen_bytes"`
-	SpillThreshold    int     `json:"spill_threshold"`
-	SpillSpills       int64   `json:"spill_spills"`
-	SpillMerges       int64   `json:"spill_merges"`
-	SpillRunFiles     int     `json:"spill_run_files"`
-	SpilledSums       int64   `json:"spilled_sums"`
-	SpillDiskBytes    int64   `json:"spill_disk_bytes"`
-	SpillProbes       int64   `json:"spill_probes"`
-	PeakRSSBytes      int64   `json:"peak_rss_bytes"`
+	// PeakRSSBytes is the process high-water mark (ru_maxrss) after all
+	// runs.
+	PeakRSSBytes int64 `json:"peak_rss_bytes"`
 }
 
 func runE11(workersCSV, jsonPath, label string) error {
@@ -137,7 +123,7 @@ func runE11(workersCSV, jsonPath, label string) error {
 	// Timed runs keep Metrics nil: the benchmark measures the
 	// uninstrumented hot path, the zero-cost-when-disabled contract's
 	// figure of record. Snapshot figures come from one extra untimed run.
-	measure := func(w int, exact bool, reg *obs.Registry, ck explore.CheckpointOptions, sym, por bool, mod func(*explore.Config)) (*explore.Result, time.Duration, error) {
+	measure := func(w int, exact bool, reg *obs.Registry, ck explore.CheckpointOptions, sym, por bool) (*explore.Result, time.Duration, error) {
 		c := cfg
 		c.Monitor = explore.NewSafetyMonitor(true)
 		c.Workers = w
@@ -146,9 +132,6 @@ func runE11(workersCSV, jsonPath, label string) error {
 		c.Checkpoint = ck
 		c.Symmetry = sym
 		c.POR = por
-		if mod != nil {
-			mod(&c)
-		}
 		began := time.Now()
 		res, err := explore.BFS(sys, c)
 		return res, time.Since(began), err
@@ -156,7 +139,7 @@ func runE11(workersCSV, jsonPath, label string) error {
 
 	var base float64
 	for _, w := range workers {
-		res, elapsed, err := measure(w, false, nil, explore.CheckpointOptions{}, false, false, nil)
+		res, elapsed, err := measure(w, false, nil, explore.CheckpointOptions{}, false, false)
 		if err != nil {
 			return err
 		}
@@ -187,7 +170,7 @@ func runE11(workersCSV, jsonPath, label string) error {
 			w, run.States, run.StatesPerSec, run.SpeedupVsW1)
 	}
 
-	exactRes, _, err := measure(1, true, nil, explore.CheckpointOptions{}, false, false, nil)
+	exactRes, _, err := measure(1, true, nil, explore.CheckpointOptions{}, false, false)
 	if err != nil {
 		return err
 	}
@@ -212,7 +195,7 @@ func runE11(workersCSV, jsonPath, label string) error {
 	}
 	defer os.RemoveAll(ckDir)
 	ck := explore.CheckpointOptions{Path: filepath.Join(ckDir, "e11.ckpt"), EveryLevels: 1}
-	ckRes, ckElapsed, err := measure(workers[0], false, nil, ck, false, false, nil)
+	ckRes, ckElapsed, err := measure(workers[0], false, nil, ck, false, false)
 	if err != nil {
 		return err
 	}
@@ -229,7 +212,7 @@ func runE11(workersCSV, jsonPath, label string) error {
 	// snapshot figures: peak frontier width, dedup hit rate, and the
 	// checkpoint write count and last-snapshot size.
 	reg := obs.NewRegistry()
-	if _, _, err := measure(workers[0], false, reg, ck, false, false, nil); err != nil {
+	if _, _, err := measure(workers[0], false, reg, ck, false, false); err != nil {
 		return err
 	}
 	snap := reg.Snapshot()
@@ -254,14 +237,14 @@ func runE11(workersCSV, jsonPath, label string) error {
 	// internal/explore/reduction.go — never changes which states are
 	// reachable, so the POR-only state count equaling the baseline is
 	// asserted here as a live soundness check, not just documented.
-	symRes, symElapsed, err := measure(workers[0], false, nil, explore.CheckpointOptions{}, true, false, nil)
+	symRes, symElapsed, err := measure(workers[0], false, nil, explore.CheckpointOptions{}, true, false)
 	if err != nil {
 		return err
 	}
 	if symRes.Violation != nil {
 		return fmt.Errorf("e11: symmetry run found a violation the baseline did not: %s", symRes.Violation)
 	}
-	porRes, porElapsed, err := measure(workers[0], false, nil, explore.CheckpointOptions{}, false, true, nil)
+	porRes, porElapsed, err := measure(workers[0], false, nil, explore.CheckpointOptions{}, false, true)
 	if err != nil {
 		return err
 	}
@@ -272,7 +255,7 @@ func runE11(workersCSV, jsonPath, label string) error {
 		return fmt.Errorf("e11: POR explored %d states, want %d (POR must prune transitions, never states)",
 			porRes.StatesExplored, out.States)
 	}
-	bothRes, bothElapsed, err := measure(workers[0], false, nil, explore.CheckpointOptions{}, true, true, nil)
+	bothRes, bothElapsed, err := measure(workers[0], false, nil, explore.CheckpointOptions{}, true, true)
 	if err != nil {
 		return err
 	}
@@ -293,7 +276,7 @@ func runE11(workersCSV, jsonPath, label string) error {
 
 	// One instrumented reduced run harvests the reduction counters.
 	redReg := obs.NewRegistry()
-	if _, _, err := measure(workers[0], false, redReg, explore.CheckpointOptions{}, true, true, nil); err != nil {
+	if _, _, err := measure(workers[0], false, redReg, explore.CheckpointOptions{}, true, true); err != nil {
 		return err
 	}
 	redSnap := redReg.Snapshot()
@@ -306,36 +289,7 @@ func runE11(workersCSV, jsonPath, label string) error {
 	fmt.Printf("  sym+por:   %9d states  %8.0f states/sec  reduction %.2fx\n",
 		out.ReducedStates, out.ReducedStatesPerSec, out.ReductionRatio)
 
-	// Memory-bound-mode A/B: disk-spill seen-set with a threshold far
-	// below the state count (forcing several real spills and at least one
-	// merge), asserted bit-equivalent on the state count — the live
-	// representation-equivalence check.
-	spillDir, err := os.MkdirTemp("", "perfsweep-e11-spill-")
-	if err != nil {
-		return err
-	}
-	defer os.RemoveAll(spillDir)
-	out.SpillThreshold = max(out.States/16, 1024)
-	spillRes, spillElapsed, err := measure(workers[0], false, nil, explore.CheckpointOptions{}, false, false,
-		func(c *explore.Config) { c.SpillDir = spillDir; c.SpillThreshold = out.SpillThreshold })
-	if err != nil {
-		return err
-	}
-	if spillRes.StatesExplored != out.States || spillRes.Violation != nil {
-		return fmt.Errorf("e11: spill run explored %d states (violation=%v), want %d and none (spill representation unsound?)",
-			spillRes.StatesExplored, spillRes.Violation, out.States)
-	}
-	out.SpillStates = spillRes.StatesExplored
-	out.SpillStatesPerSec = float64(spillRes.StatesExplored) / spillElapsed.Seconds()
-	out.SpillSeenBytes = spillRes.SeenSetBytes
-	if sp := spillRes.Spill; sp != nil {
-		out.SpillSpills, out.SpillMerges, out.SpillProbes = sp.Spills, sp.Merges, sp.Probes
-		out.SpillRunFiles, out.SpilledSums, out.SpillDiskBytes = sp.Runs, sp.SpilledSums, sp.DiskBytes
-	}
 	out.PeakRSSBytes = peakRSSBytes()
-	fmt.Printf("  spill:     %9d states  %8.0f states/sec  front ≈%d B (threshold %d), %d spills/%d merges, %d sums in %d runs (%d B disk), %d probes\n",
-		out.SpillStates, out.SpillStatesPerSec, out.SpillSeenBytes, out.SpillThreshold,
-		out.SpillSpills, out.SpillMerges, out.SpilledSums, out.SpillRunFiles, out.SpillDiskBytes, out.SpillProbes)
 	fmt.Printf("  peak RSS:  %d bytes (process high-water mark across all runs)\n", out.PeakRSSBytes)
 
 	if jsonPath != "" {

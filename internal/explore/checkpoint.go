@@ -512,11 +512,7 @@ func (s *search) configDigest(start ioa.State, monitor Monitor) (string, error) 
 }
 
 // snapshot captures the search at a level barrier: the frontier as
-// per-node schedules plus the dedup set and cumulative counters. The
-// seen-set representation (in-memory or spilled) disappears here — the
-// checkpoint bytes are identical for both, which is what keeps
-// checkpoints resumable under a different representation than they were
-// taken under.
+// per-node schedules plus the dedup set and cumulative counters.
 func (s *search) snapshot(lvl *arenaLevel, depthReached int) (*Checkpoint, error) {
 	c := &Checkpoint{
 		ConfigDigest: s.digest,
@@ -546,13 +542,6 @@ func (s *search) snapshot(lvl *arenaLevel, depthReached int) (*Checkpoint, error
 	case *hashedSeen:
 		c.HashSeed = set.hashSeed()
 		c.SeenHashes = set.hashes()
-	case *spilledSeen:
-		c.HashSeed = set.hashSeed()
-		hashes, err := set.mergedHashes()
-		if err != nil {
-			return nil, fmt.Errorf("explore: snapshotting spilled seen-set: %w", err)
-		}
-		c.SeenHashes = hashes
 	case *exactSeen:
 		c.SeenKeys = set.keys()
 	default:
@@ -575,29 +564,13 @@ func (s *search) restore(c *Checkpoint) (*arenaLevel, error) {
 	if c.Exact != s.cfg.ExactDedup {
 		return nil, fmt.Errorf("%w: dedup mode differs", ErrCheckpointMismatch)
 	}
-	switch {
-	case c.Exact:
+	if c.Exact {
 		set := newExactSeen()
 		for _, k := range c.SeenKeys {
 			set.Add([]byte(k))
 		}
 		s.seen = set
-	case s.cfg.SpillDir != "":
-		// The spill set must hash with the checkpoint's seed, so the one
-		// BFS pre-built (random seed, still empty, no run files) is
-		// discarded for a reseeded replacement.
-		if old, ok := s.seen.(*spilledSeen); ok {
-			old.close()
-		}
-		set := newSpilledSeen(c.HashSeed, s.cfg.SpillDir, s.cfg.SpillThreshold)
-		for _, h := range c.SeenHashes {
-			set.addSum(h)
-		}
-		if err := set.Err(); err != nil {
-			return nil, fmt.Errorf("explore: restoring spilled seen-set: %w", err)
-		}
-		s.seen = set
-	default:
+	} else {
 		set := newHashedSeenSeeded(c.HashSeed)
 		if s.cfg.Checkpoint.enabled() {
 			set.trackRuns()

@@ -65,18 +65,16 @@ func stopAtLevel(cfg *Config, k int, path string) {
 }
 
 // requireEqualResults asserts two Results agree on everything except the
-// Interrupted marker (and timing-free SeenSetBytes, which is compared
-// too — it is a pure function of the dedup-set contents).
+// Interrupted marker and SeenSetBytes.
 func requireEqualResults(t *testing.T, label string, got, want *Result) {
 	t.Helper()
 	g, w := *got, *want
 	g.Interrupted, w.Interrupted = false, false
-	// SeenSetBytes reports the representation's real footprint, and the
-	// representations legitimately differ: a checkpointing run keeps
-	// sorted runs for incremental barrier merges, a spill run keeps a
-	// bounded front. Search-outcome equivalence is everything else.
+	// SeenSetBytes reports the representation's real footprint, and a
+	// checkpointing run legitimately holds more: it keeps sorted runs for
+	// incremental barrier merges. Search-outcome equivalence is
+	// everything else.
 	g.SeenSetBytes, w.SeenSetBytes = 0, 0
-	g.Spill, w.Spill = nil, nil
 	if !reflect.DeepEqual(g.Violation, w.Violation) {
 		t.Errorf("%s: violation = %v, want %v", label, g.Violation, w.Violation)
 	}

@@ -25,11 +25,9 @@
 // returned trace is a shortest violating schedule.
 //
 // Each frontier level is laid out as flat slabs with 32-bit parent
-// offsets rather than one heap object per state (arena.go), and
-// Config.SpillDir moves the cold majority of the seen-set into sorted run
-// files on disk (spill.go) so searches can scale past RAM. Spilling is a
-// pure representation change: verdicts, traces, state counts and
-// checkpoint files are identical to the in-memory seen-set's.
+// offsets rather than one heap object per state (arena.go). The frontier,
+// not the seen-set, dominates memory: at a million states the hashed
+// seen-set holds about 32 B per state, under 3% of peak RSS.
 package explore
 
 import (
@@ -98,19 +96,7 @@ type Config struct {
 	// ExactDedup deduplicates on full fingerprint keys instead of 64-bit
 	// hashes: the collision-paranoid escape hatch, at ~key-length bytes
 	// per state instead of 8 (see seenset.go for the collision analysis).
-	// Incompatible with SpillDir (runs are fixed-width sum files).
 	ExactDedup bool
-	// SpillDir, when non-empty, selects the disk-spill seen-set: the
-	// in-memory front is bounded by SpillThreshold and cold fingerprints
-	// live in sorted run files under this directory (which must exist and
-	// be writable; run files are removed when the search ends). A pure
-	// representation change — verdicts, traces, state counts and
-	// checkpoints are identical to the in-memory hashed set. See spill.go.
-	SpillDir string
-	// SpillThreshold is the maximum in-memory front size (fingerprints)
-	// before a spill; 0 means DefaultSpillThreshold. Only meaningful with
-	// SpillDir.
-	SpillThreshold int
 	// Symmetry enables symmetry reduction: dedup keys canonicalise payload
 	// tokens and packet IDs to first-use order, and the inputs-used bitmap
 	// collapses to per-class counts, so states differing only by a
@@ -146,10 +132,9 @@ type Config struct {
 	// Resume, when non-nil, restores the search from a decoded checkpoint
 	// instead of the start state. The rest of the Config must describe the
 	// same search the checkpoint was taken under (validated by digest);
-	// Workers may differ, as may SpillDir/SpillThreshold — they are
-	// representation choices, not search parameters. Resuming and running
-	// to the end yields the same Result the uninterrupted run would have
-	// produced.
+	// Workers may differ — it is a performance knob, not a search
+	// parameter. Resuming and running to the end yields the same Result
+	// the uninterrupted run would have produced.
 	Resume *Checkpoint
 	// Stop, when non-nil, requests a graceful stop: once the channel is
 	// closed the search finishes the in-flight level, writes a final
@@ -164,23 +149,6 @@ const (
 	DefaultMaxDepth  = 40
 	DefaultMaxStates = 1 << 20
 )
-
-// SpillReport summarises disk-spill seen-set activity for a finished
-// search (Result.Spill; nil unless Config.SpillDir was set).
-type SpillReport struct {
-	// Spills counts spill events (front flushed to disk).
-	Spills int64
-	// Merges counts compacting run merges.
-	Merges int64
-	// Probes counts run-file lookups that got past the Bloom filter.
-	Probes int64
-	// Runs is the number of live run files at the end.
-	Runs int
-	// SpilledSums is the number of fingerprints on disk at the end.
-	SpilledSums int64
-	// DiskBytes is the total size of the live run files at the end.
-	DiskBytes int64
-}
 
 // Result reports a search outcome.
 type Result struct {
@@ -210,21 +178,12 @@ type Result struct {
 	// DepthReached is the longest path explored.
 	DepthReached int
 	// SeenSetBytes approximates the heap held by the dedup set: the
-	// memory-per-state figure the hashed seen-set exists to shrink. In
-	// spill mode this is the bounded in-memory footprint; the disk side
-	// is in Spill.
+	// memory-per-state figure the hashed seen-set exists to shrink.
 	SeenSetBytes int64
-	// Spill summarises disk-spill activity (nil unless Config.SpillDir
-	// was set).
-	Spill *SpillReport
 }
 
 // ErrNoMonitor is returned when Config.Monitor is nil.
 var ErrNoMonitor = errors.New("explore: config needs a monitor")
-
-// ErrSpillConfig is returned for spill configurations the explorer
-// cannot honour.
-var ErrSpillConfig = errors.New("explore: invalid spill configuration")
 
 // search carries the per-run state shared by the level workers.
 type search struct {
@@ -273,11 +232,9 @@ type search struct {
 
 	// ins holds the resolved observability handles (all nil when
 	// Config.Metrics is nil — the zero-cost disabled mode); began is the
-	// search start time for trace timestamps and progress rates;
-	// spillPrev is observeSpill's last stats snapshot for counter deltas.
-	ins       instruments
-	began     time.Time
-	spillPrev spillStats
+	// search start time for trace timestamps and progress rates.
+	ins   instruments
+	began time.Time
 
 	// chunks recycles expandLevel's chunk buffers across levels.
 	chunks []*chunk
@@ -327,9 +284,6 @@ func BFS(sys *core.System, cfg Config) (*Result, error) {
 	if cfg.Monitor == nil {
 		return nil, ErrNoMonitor
 	}
-	if cfg.SpillDir != "" && cfg.ExactDedup {
-		return nil, fmt.Errorf("%w: spill requires hashed dedup (run files hold fixed-width sums)", ErrSpillConfig)
-	}
 	s := &search{
 		sys:      sys,
 		cfg:      cfg,
@@ -345,12 +299,9 @@ func BFS(sys *core.System, cfg Config) (*Result, error) {
 		s.maxStates = DefaultMaxStates
 	}
 	s.usedStride = (len(cfg.Inputs) + 63) / 64
-	switch {
-	case cfg.ExactDedup:
+	if cfg.ExactDedup {
 		s.seen = newExactSeen()
-	case cfg.SpillDir != "":
-		s.seen = newSpilledSeen(randomSeed(), cfg.SpillDir, cfg.SpillThreshold)
-	default:
+	} else {
 		h := newHashedSeen()
 		if cfg.Checkpoint.enabled() {
 			// Checkpoints call hashes() at every cadence barrier; run
@@ -360,12 +311,6 @@ func BFS(sys *core.System, cfg Config) (*Result, error) {
 		}
 		s.seen = h
 	}
-	// Spill run files are private to this search; drop them on any exit.
-	defer func() {
-		if sp, ok := s.seen.(*spilledSeen); ok {
-			sp.close()
-		}
-	}()
 	s.chans = make([]*channel.Channel, len(s.comps))
 	for i, comp := range s.comps {
 		if ch, ok := comp.(*channel.Channel); ok {
@@ -435,13 +380,7 @@ func BFS(sys *core.System, cfg Config) (*Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		// Spill-mode disk errors are recorded during expansion and
-		// surfaced here, before anything built on their answers escapes.
-		if err := s.seenErr(); err != nil {
-			return nil, err
-		}
 		s.observeLevel(depth, cur.size(), batch.size())
-		s.observeSpill()
 		if found != nil {
 			res.Violation = found.violation
 			res.Trace = append(cur.appendTraceOf(nil, found.frontIdx), found.action)
@@ -472,26 +411,8 @@ func BFS(sys *core.System, cfg Config) (*Result, error) {
 	res.StatesExplored = int(min(s.count.Load(), s.maxStates))
 	res.Exhausted = res.Exhausted && !s.truncated.Load() && !res.Interrupted
 	res.SeenSetBytes = s.seen.ApproxBytes()
-	if sp, ok := s.seen.(*spilledSeen); ok {
-		st := sp.stats()
-		res.Spill = &SpillReport{
-			Spills: st.Spills, Merges: st.Merges, Probes: st.Probes,
-			Runs: st.Runs, SpilledSums: st.Spilled, DiskBytes: st.DiskBytes,
-		}
-	}
 	s.observeDone(res)
 	return res, nil
-}
-
-// seenErr surfaces the first disk error a spill-mode seen-set recorded
-// (non-spill sets cannot fail).
-func (s *search) seenErr() error {
-	if sp, ok := s.seen.(*spilledSeen); ok {
-		if err := sp.Err(); err != nil {
-			return fmt.Errorf("explore: spill seen-set: %w", err)
-		}
-	}
-	return nil
 }
 
 // stopRequested polls a graceful-stop channel without blocking.

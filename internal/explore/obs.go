@@ -36,12 +36,6 @@ import (
 //	                                      POR suppression applied (the
 //	                                      ample-set sizes; only observed when
 //	                                      POR is on)
-//	explore.spill.runs           gauge    live disk run files (spill mode)
-//	explore.spill.spilled        gauge    fingerprints resident on disk
-//	explore.spill.disk_bytes     gauge    total size of the live run files
-//	explore.spill.spills         counter  front-to-disk spill events
-//	explore.spill.merges         counter  compacting run merges
-//	explore.spill.probes         counter  run lookups past the Bloom filter
 //
 // Trace events: explore.level (one per completed BFS level),
 // explore.checkpoint (one per durable snapshot: level, nodes, bytes,
@@ -80,12 +74,6 @@ type instruments struct {
 	symRenames   *obs.Counter
 	porPruned    *obs.Counter
 	ampleSize    *obs.Histogram
-	spillRuns    *obs.Gauge
-	spillSpilled *obs.Gauge
-	spillBytes   *obs.Gauge
-	spillSpills  *obs.Counter
-	spillMerges  *obs.Counter
-	spillProbes  *obs.Counter
 	workers      []*obs.Counter
 }
 
@@ -106,12 +94,6 @@ func newInstruments(reg *obs.Registry, workers int) instruments {
 		symRenames:   reg.Counter("explore.symmetry_renames"),
 		porPruned:    reg.Counter("explore.por_pruned"),
 		ampleSize:    reg.Histogram("explore.ample_size", obs.LinearBuckets(2, 2, 16)),
-		spillRuns:    reg.Gauge("explore.spill.runs"),
-		spillSpilled: reg.Gauge("explore.spill.spilled"),
-		spillBytes:   reg.Gauge("explore.spill.disk_bytes"),
-		spillSpills:  reg.Counter("explore.spill.spills"),
-		spillMerges:  reg.Counter("explore.spill.merges"),
-		spillProbes:  reg.Counter("explore.spill.probes"),
 		workers:      make([]*obs.Counter, workers),
 	}
 	for w := range ins.workers {
@@ -153,25 +135,6 @@ func (s *search) observeLevel(depth, frontier, admitted int) {
 	if s.cfg.OnLevel != nil {
 		s.cfg.OnLevel(LevelStats{Depth: depth, Frontier: frontier, Admitted: admitted, States: states, Elapsed: elapsed})
 	}
-}
-
-// observeSpill refreshes the disk-spill gauges and counters from the
-// spilled seen-set's cumulative stats; a no-op in non-spill modes.
-// Called at level barriers (single-threaded), so the previous-snapshot
-// delta needs no locking.
-func (s *search) observeSpill() {
-	sp, ok := s.seen.(*spilledSeen)
-	if !ok || s.cfg.Metrics == nil {
-		return
-	}
-	st := sp.stats()
-	s.ins.spillRuns.Set(int64(st.Runs))
-	s.ins.spillSpilled.Set(st.Spilled)
-	s.ins.spillBytes.Set(st.DiskBytes)
-	s.ins.spillSpills.Add(st.Spills - s.spillPrev.Spills)
-	s.ins.spillMerges.Add(st.Merges - s.spillPrev.Merges)
-	s.ins.spillProbes.Add(st.Probes - s.spillPrev.Probes)
-	s.spillPrev = st
 }
 
 // observeCheckpoint records one durable snapshot write: the counters,

@@ -8,12 +8,13 @@ import (
 	"sync"
 )
 
-// The explorer dedups up to millions of states; the seen-set is its main
-// memory consumer and, under parallel BFS, its main contention point. All
-// implementations below are mutex-striped across seenShards shards chosen
-// by the key's 64-bit hash, so concurrent workers rarely collide on a
-// lock, and all accept transient []byte keys so callers can build keys in
-// a reused buffer.
+// The explorer dedups up to millions of states. The hashed seen-set costs
+// about 32 B per state (hashedEntryBytes), a few percent of a search's
+// peak RSS: the frontier's states, not the seen-set, bound how large a
+// search fits in memory (DESIGN.md §12). All implementations below are
+// mutex-striped across seenShards shards chosen by the key's 64-bit hash,
+// so concurrent workers rarely collide on a lock, and all accept
+// transient []byte keys so callers can build keys in a reused buffer.
 //
 // hashedSeen stores only the 64-bit hash of each key (8 bytes per state
 // plus map overhead, versus the full key string — typically hundreds of
@@ -23,9 +24,7 @@ import (
 // the default 2²⁰-state budget), and a collision can only cause a missed
 // state, never a false violation — traces are re-validated by the monitor
 // on the path that reaches them. Config.ExactDedup selects exactSeen for
-// collision-paranoid runs. spilledSeen (spill.go) is the third
-// implementation: hashed dedup whose cold majority lives in sorted runs
-// on disk, for searches that outgrow RAM.
+// collision-paranoid runs.
 //
 // The hash is a seeded multiply-xor mix (hash64 below) rather than
 // hash/maphash: maphash's seed is deliberately opaque and cannot be
@@ -272,8 +271,8 @@ func (h *hashedSeen) ShardLens() []int {
 // and growth-time table duplication, amortised. The figure is calibrated
 // against runtime.ReadMemStats over a million-entry sharded set in
 // seenset_test.go — the earlier guess of 16 under-reported real heap by
-// more than 2x, which matters now that the spill threshold keys off
-// Result.SeenSetBytes.
+// more than 2x. At this figure the seen-set is about 3% of a
+// million-state search's peak RSS; the frontier holds the rest.
 const hashedEntryBytes = 32
 
 func (h *hashedSeen) ApproxBytes() int64 {

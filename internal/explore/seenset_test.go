@@ -172,7 +172,7 @@ func measureHeap(t *testing.T, build func() any) int64 {
 // hashedEntryBytes: a million-entry hashed set's ApproxBytes must track
 // the real retained heap measured by runtime.ReadMemStats. The old
 // constant (16) under-reported by more than 2x — and SeenSetBytes is the
-// figure spill thresholds and capacity planning key off, so the estimate
+// figure capacity planning keys off, so the estimate
 // staying inside a ±50% band of reality is a correctness property of the
 // number, not cosmetics.
 func TestApproxBytesCalibrationHashed(t *testing.T) {

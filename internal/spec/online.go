@@ -28,7 +28,8 @@ import (
 //     inside it. Sends in the currently open interval are therefore
 //     held as *candidate* violations until the interval either closes
 //     properly (they are safe forever) or is discarded by a re-wake
-//     (the earliest becomes the violation).
+//     (the earliest becomes the violation, so it is the only candidate
+//     OnlinePL keeps; its Detail is formatted only then).
 //
 //   - (DL7) and (DL8) quantify over whole working intervals and the
 //     trace-final receive set, so the monitor retains the per-interval
@@ -67,13 +68,23 @@ func (w *onlineWF) observe(a ioa.Action, d ioa.Dir, idx int) {
 	}
 }
 
-// intervalSend is one send event retained for interval-scoped checks:
-// the message, its 1-based event index, and the prebuilt violation to
-// surface if the enclosing interval turns out to be discarded.
+// intervalSend is one send_msg event retained for interval-scoped
+// checks: the message and its 1-based event index. The candidate DL2
+// violation it stands for is formatted only if the enclosing interval
+// turns out to be discarded: most sends are never reported, so an eager
+// Detail would cost one fmt.Sprintf per send for nothing. The action is
+// rebuilt from the message and the monitored direction, which is all
+// send_msg's String prints, because a retained ioa.Action would cost
+// 112 bytes per send.
 type intervalSend struct {
-	msg  ioa.Message
-	idx  int
-	cand Violation
+	msg ioa.Message
+	idx int
+}
+
+// dl2Violation is the DL2 failure for send_msg^{dir}(msg) at event idx.
+func (m *OnlineDL) dl2Violation(msg ioa.Message, idx int) *Violation {
+	return &Violation{Property: PropDL2, Index: idx,
+		Detail: fmt.Sprintf("%s outside any transmitter working interval", ioa.SendMsg(m.dir, msg))}
 }
 
 // OnlineDL incrementally decides CheckDL^{d}. Feed it, in order, the
@@ -167,8 +178,7 @@ func (m *OnlineDL) observeIntervals(a ioa.Action, idx int) {
 				// send is the DL2 violation (any earlier failing send
 				// was already recorded with a smaller index).
 				if m.dl2 == nil && len(m.openSends) > 0 {
-					v := m.openSends[0].cand
-					m.dl2 = &v
+					m.dl2 = m.dl2Violation(m.openSends[0].msg, m.openSends[0].idx)
 				}
 				m.openSends = m.openSends[:0]
 			}
@@ -184,12 +194,10 @@ func (m *OnlineDL) observeIntervals(a ioa.Action, idx int) {
 }
 
 func (m *OnlineDL) observeSend(a ioa.Action, idx int) *Violation {
-	cand := Violation{Property: PropDL2, Index: idx,
-		Detail: fmt.Sprintf("%s outside any transmitter working interval", a)}
 	if m.open[0] {
-		m.openSends = append(m.openSends, intervalSend{msg: a.Msg, idx: idx, cand: cand})
+		m.openSends = append(m.openSends, intervalSend{msg: a.Msg, idx: idx})
 	} else if m.dl2 == nil {
-		m.dl2 = &cand
+		m.dl2 = m.dl2Violation(a.Msg, idx)
 	}
 	if m.dl3 == nil {
 		if j, dup := m.sentAt[a.Msg]; dup {
@@ -332,9 +340,11 @@ type OnlinePL struct {
 	pl4  *Violation
 	pl5  *Violation
 
-	// Sends inside the currently open interval: candidate PL1
-	// violations until the interval closes properly (see OnlineDL).
-	pending []Violation
+	// pending is the earliest send inside the currently open interval
+	// (idx 0: none): the PL1 violation if a re-wake discards the
+	// interval (see OnlineDL). A later send of the same interval can
+	// never be the earliest violation, so no other send is kept.
+	pending pendingSend
 
 	sentAt map[ioa.Packet]int
 	recvAt map[ioa.Packet]int
@@ -342,6 +352,19 @@ type OnlinePL struct {
 	sendIndex     map[ioa.Packet]int
 	nextSend      int
 	lastDelivered int
+}
+
+// pendingSend is one send_pkt event: the packet and its 1-based event
+// index. Its PL1 Detail is formatted only when it is reported.
+type pendingSend struct {
+	pkt ioa.Packet
+	idx int
+}
+
+// pl1Violation is the PL1 failure for send_pkt^{dir}(s.pkt) at s.idx.
+func (m *OnlinePL) pl1Violation(s pendingSend) *Violation {
+	return &Violation{Property: PropPL1, Index: s.idx,
+		Detail: fmt.Sprintf("%s outside any working interval", ioa.SendPkt(m.dir, s.pkt))}
 }
 
 // NewOnlinePL returns an online monitor for CheckPL^{d}; with fifo set
@@ -377,24 +400,22 @@ func (m *OnlinePL) Observe(a ioa.Action) *Violation {
 	}
 	switch a.Kind {
 	case ioa.KindWake:
-		if m.open {
-			if m.pl1 == nil && len(m.pending) > 0 {
-				v := m.pending[0]
-				m.pl1 = &v
-			}
-			m.pending = m.pending[:0]
+		if m.pl1 == nil && m.pending.idx > 0 {
+			m.pl1 = m.pl1Violation(m.pending)
 		}
+		m.pending = pendingSend{}
 		m.open = true
 	case ioa.KindFail, ioa.KindCrash:
-		m.pending = nil
+		m.pending = pendingSend{}
 		m.open = false
 	case ioa.KindSendPkt:
-		cand := Violation{Property: PropPL1, Index: idx,
-			Detail: fmt.Sprintf("%s outside any working interval", a)}
-		if m.open {
-			m.pending = append(m.pending, cand)
-		} else if m.pl1 == nil {
-			m.pl1 = &cand
+		switch {
+		case !m.open:
+			if m.pl1 == nil {
+				m.pl1 = m.pl1Violation(pendingSend{pkt: a.Pkt, idx: idx})
+			}
+		case m.pending.idx == 0:
+			m.pending = pendingSend{pkt: a.Pkt, idx: idx}
 		}
 		if m.pl2 == nil {
 			if j, dup := m.sentAt[a.Pkt]; dup {
