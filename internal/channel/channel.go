@@ -609,10 +609,10 @@ func (c *Channel) Corrupt(st ioa.State, idx int, mutate func(ioa.Packet) ioa.Pac
 // the high-water mark is reset. The compacted state is
 // forward-bisimilar to the original (same deliverable packets in the
 // same eligibility order, same Residual), but its size is bounded by
-// the in-transit count instead of the send history. Long-running
-// transport sessions compact their middlebox channels periodically;
-// without this, Step's copy-on-write clone makes a session cost
-// O(messages²).
+// the in-transit count instead of the send history. A long replay of a
+// session's packet stream (dlbench's channel layer) compacts
+// periodically; without this, Step's copy-on-write clone makes the
+// replay cost O(messages²).
 //
 // The surgery deliberately erases the send history, so SentCount and
 // DeliveredCount restart from the compacted state; harnesses that
