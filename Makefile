@@ -2,11 +2,12 @@
 # analyzers + full tests + the race-detector pass over the concurrent
 # packages (the parallel explorer, the scheduler and the swarm worker
 # pool), plus the swarm, fuzz, observability, checkpoint/resume,
-# reduction A/B and serving smoke runs and the benchmark harness's tests.
+# reduction A/B and serving smoke runs, the benchmark harness's tests and
+# a one-iteration pass over every Go benchmark.
 
 GO ?= go
 
-.PHONY: build test vet lint lint-json lint-sarif race swarm-smoke fuzz-smoke obs-smoke checkpoint-smoke reduction-smoke serve-smoke admin-smoke bench-test ci bench-explore bench
+.PHONY: build test vet lint lint-json lint-sarif race swarm-smoke fuzz-smoke obs-smoke checkpoint-smoke reduction-smoke serve-smoke admin-smoke bench-test bench-smoke ci bench-explore bench
 
 build:
 	$(GO) build ./...
@@ -196,7 +197,13 @@ admin-smoke:
 bench-test:
 	$(GO) -C dlbench test .
 
-ci: vet lint test race swarm-smoke fuzz-smoke obs-smoke checkpoint-smoke reduction-smoke serve-smoke admin-smoke bench-test
+# Every Go benchmark, one iteration each (~10s): a benchmark that no
+# longer builds or fails its own checks breaks the gate, not the next
+# ledger run.
+bench-smoke:
+	$(GO) test -run '^$$' -bench . -benchtime 1x ./...
+
+ci: vet lint test race swarm-smoke fuzz-smoke obs-smoke checkpoint-smoke reduction-smoke serve-smoke admin-smoke bench-test bench-smoke
 
 # Regenerate BENCH_explore.json (model-checker throughput + dedup memory).
 bench-explore:

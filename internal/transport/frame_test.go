@@ -7,6 +7,7 @@ import (
 	"io"
 	"reflect"
 	"testing"
+	"testing/iotest"
 
 	"repro/internal/ioa"
 )
@@ -156,16 +157,96 @@ func TestFrameReaderWriterStream(t *testing.T) {
 	}
 }
 
-// TestFrameReaderMidFrameEOF: an EOF inside a frame is a format error,
-// not a clean end of stream.
-func TestFrameReaderMidFrameEOF(t *testing.T) {
-	enc, err := EncodeFrame(Frame{Type: FrameHello, Proto: "abp", N: 2, W: 1, FIFO: true})
-	if err != nil {
-		t.Fatal(err)
+// shortReaders wrap a stream in the short-read shapes a socket can
+// produce: one byte per read, half of each request, and data returned
+// together with the final io.EOF.
+var shortReaders = []struct {
+	name string
+	wrap func(io.Reader) io.Reader
+}{
+	{"one-byte", iotest.OneByteReader},
+	{"half", iotest.HalfReader},
+	{"data-err", iotest.DataErrReader},
+}
+
+// goldenStream returns the golden frames encoded back to back, with the
+// end offset of each frame in the stream.
+func goldenStream(t *testing.T) (stream []byte, ends []int) {
+	t.Helper()
+	for _, f := range goldenFrames() {
+		var err error
+		if stream, err = AppendFrame(stream, f); err != nil {
+			t.Fatal(err)
+		}
+		ends = append(ends, len(stream))
 	}
-	fr := NewFrameReader(bytes.NewReader(enc[:len(enc)-3]))
-	if _, err := fr.Next(); !errors.Is(err, ErrFrameFormat) {
-		t.Fatalf("mid-frame EOF: want ErrFrameFormat, got %v", err)
+	return stream, ends
+}
+
+// TestFrameReaderShortReads: whatever the read sizes, the streaming
+// reader decodes the same frames as DecodeFrame over the whole buffer,
+// then reports io.EOF at the clean end of the stream.
+func TestFrameReaderShortReads(t *testing.T) {
+	stream, _ := goldenStream(t)
+	var want []Frame
+	for rest := stream; len(rest) > 0; {
+		f, n, err := DecodeFrame(rest)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want = append(want, f)
+		rest = rest[n:]
+	}
+	for _, sr := range shortReaders {
+		t.Run(sr.name, func(t *testing.T) {
+			fr := NewFrameReader(sr.wrap(bytes.NewReader(stream)))
+			for i, w := range want {
+				got, err := fr.Next()
+				if err != nil {
+					t.Fatalf("frame %d: %v", i, err)
+				}
+				if !reflect.DeepEqual(got, w) {
+					t.Fatalf("frame %d:\n got %#v\nwant %#v", i, got, w)
+				}
+			}
+			if _, err := fr.Next(); err != io.EOF {
+				t.Fatalf("want io.EOF at the end of the stream, got %v", err)
+			}
+		})
+	}
+}
+
+// TestFrameReaderCutStream: a stream cut at every byte offset, read
+// through each short-read shape, yields the frames wholly before the
+// cut and then io.EOF if the cut falls on a frame boundary, or an
+// ErrFrameFormat if it falls inside a frame.
+func TestFrameReaderCutStream(t *testing.T) {
+	stream, ends := goldenStream(t)
+	for _, sr := range shortReaders {
+		t.Run(sr.name, func(t *testing.T) {
+			for cut := 0; cut <= len(stream); cut++ {
+				whole, boundary := 0, cut == 0
+				for _, end := range ends {
+					if end <= cut {
+						whole++
+						boundary = boundary || end == cut
+					}
+				}
+				fr := NewFrameReader(sr.wrap(bytes.NewReader(stream[:cut])))
+				for i := 0; i < whole; i++ {
+					if _, err := fr.Next(); err != nil {
+						t.Fatalf("cut %d: frame %d: %v", cut, i, err)
+					}
+				}
+				_, err := fr.Next()
+				switch {
+				case boundary && err != io.EOF:
+					t.Fatalf("cut %d at a frame boundary: want io.EOF, got %v", cut, err)
+				case !boundary && !errors.Is(err, ErrFrameFormat):
+					t.Fatalf("cut %d inside a frame: want ErrFrameFormat, got %v", cut, err)
+				}
+			}
+		})
 	}
 }
 
