@@ -188,6 +188,7 @@ type Channel struct {
 	lossy    bool
 	lifetime int // 0: packets may stay in transit forever
 	name     string
+	sig      ioa.Signature // fixed by build, after the options ran
 }
 
 var _ ioa.Automaton = (*Channel)(nil)
@@ -216,20 +217,36 @@ func WithMaxLifetime(l int) Option {
 // NewPermissive returns the non-FIFO permissive channel C̄^{d} (Section
 // 6.1): any in-transit packet may be delivered next.
 func NewPermissive(d ioa.Dir, opts ...Option) *Channel {
-	c := &Channel{dir: d, name: fmt.Sprintf("C̄^{%s}", d)}
-	for _, o := range opts {
-		o(c)
-	}
-	return c
+	return (&Channel{dir: d, name: fmt.Sprintf("C̄^{%s}", d)}).build(opts)
 }
 
 // NewPermissiveFIFO returns the FIFO permissive channel Ĉ^{d} (Section
 // 6.2): packets are delivered in send order, with gaps (skipped packets
 // are lost).
 func NewPermissiveFIFO(d ioa.Dir, opts ...Option) *Channel {
-	c := &Channel{dir: d, fifo: true, name: fmt.Sprintf("Ĉ^{%s}", d)}
+	return (&Channel{dir: d, fifo: true, name: fmt.Sprintf("Ĉ^{%s}", d)}).build(opts)
+}
+
+// build applies the options, then fixes the signature of Section 3:
+// inputs send_pkt^{d}, wake^{d}, fail^{d}, crash^{d}; outputs
+// receive_pkt^{d}; plus the internal lose family when WithLoss ran.
+func (c *Channel) build(opts []Option) *Channel {
 	for _, o := range opts {
 		o(c)
+	}
+	c.sig = ioa.Signature{
+		In: []ioa.Pattern{
+			{Kind: ioa.KindSendPkt, Dir: c.dir},
+			{Kind: ioa.KindWake, Dir: c.dir},
+			{Kind: ioa.KindFail, Dir: c.dir},
+			{Kind: ioa.KindCrash, Dir: c.dir},
+		},
+		Out: []ioa.Pattern{
+			{Kind: ioa.KindReceivePkt, Dir: c.dir},
+		},
+	}
+	if c.lossy {
+		c.sig.Int = []ioa.Pattern{{Kind: ioa.KindInternal, Name: c.loseName()}}
 	}
 	return c
 }
@@ -250,26 +267,8 @@ func (c *Channel) loseName() string { return "lose^{" + c.dir.String() + "}" }
 // map a lose action (whose Dir field is unset) back to its channel.
 func (c *Channel) LoseActionName() string { return c.loseName() }
 
-// Signature implements the physical layer signature of Section 3:
-// inputs send_pkt^{d}, wake^{d}, fail^{d}, crash^{d}; outputs
-// receive_pkt^{d}; plus the internal lose family when lossy.
-func (c *Channel) Signature() ioa.Signature {
-	sig := ioa.Signature{
-		In: []ioa.Pattern{
-			{Kind: ioa.KindSendPkt, Dir: c.dir},
-			{Kind: ioa.KindWake, Dir: c.dir},
-			{Kind: ioa.KindFail, Dir: c.dir},
-			{Kind: ioa.KindCrash, Dir: c.dir},
-		},
-		Out: []ioa.Pattern{
-			{Kind: ioa.KindReceivePkt, Dir: c.dir},
-		},
-	}
-	if c.lossy {
-		sig.Int = []ioa.Pattern{{Kind: ioa.KindInternal, Name: c.loseName()}}
-	}
-	return sig
-}
+// Signature returns the physical layer signature the constructor built.
+func (c *Channel) Signature() ioa.Signature { return c.sig }
 
 // Start returns the empty channel.
 func (c *Channel) Start() ioa.State { return State{hwm: -1} }
@@ -297,7 +296,7 @@ func (c *Channel) Step(st ioa.State, a ioa.Action) (ioa.State, error) {
 	if !ok {
 		return nil, fmt.Errorf("%w: want channel.State, got %T", ioa.ErrBadState, st)
 	}
-	if !c.Signature().Contains(a) {
+	if !c.sig.Contains(a) {
 		return nil, fmt.Errorf("%w: %s not an action of %s", ioa.ErrNotInSignature, a, c.name)
 	}
 	switch a.Kind {
@@ -335,10 +334,7 @@ func (c *Channel) Step(st ioa.State, a ioa.Action) (ioa.State, error) {
 			}
 		}
 		return nil, fmt.Errorf("%w: %s (not in transit or FIFO-blocked)", ioa.ErrNotEnabled, a)
-	case ioa.KindInternal:
-		if a.Name != c.loseName() || !c.lossy {
-			return nil, fmt.Errorf("%w: %s", ioa.ErrNotInSignature, a)
-		}
+	case ioa.KindInternal: // only lose^{d}: c.sig holds no other internal action
 		for i := range s.entries {
 			if s.entries[i].pkt == a.Pkt && s.entries[i].status == statusPending {
 				next := s.clone()

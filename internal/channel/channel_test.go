@@ -3,6 +3,7 @@ package channel
 import (
 	"errors"
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -162,6 +163,45 @@ func TestLoseActions(t *testing.T) {
 	plain := NewPermissive(ioa.TR)
 	if _, err := plain.Step(st, plain.Lose(mkPkt(1, "a"))); err == nil {
 		t.Error("non-lossy channel accepted a lose action")
+	}
+}
+
+// TestStoredSignatureSeesOptions pins that each constructor stores the
+// signature after its options ran: WithLoss must add the lose^{d} family
+// both to Signature() and to what Step accepts.
+func TestStoredSignatureSeesOptions(t *testing.T) {
+	for _, ctor := range []struct {
+		name string
+		new  func(ioa.Dir, ...Option) *Channel
+	}{{"NewPermissive", NewPermissive}, {"NewPermissiveFIFO", NewPermissiveFIFO}} {
+		for _, lossy := range []bool{false, true} {
+			var opts []Option
+			want := ioa.Signature{
+				In: []ioa.Pattern{
+					{Kind: ioa.KindSendPkt, Dir: ioa.RT},
+					{Kind: ioa.KindWake, Dir: ioa.RT},
+					{Kind: ioa.KindFail, Dir: ioa.RT},
+					{Kind: ioa.KindCrash, Dir: ioa.RT},
+				},
+				Out: []ioa.Pattern{{Kind: ioa.KindReceivePkt, Dir: ioa.RT}},
+			}
+			if lossy {
+				opts = append(opts, WithLoss())
+				want.Int = []ioa.Pattern{{Kind: ioa.KindInternal, Name: "lose^{r,t}"}}
+			}
+			c := ctor.new(ioa.RT, opts...)
+			if got := c.Signature(); !reflect.DeepEqual(got, want) {
+				t.Errorf("%s lossy=%v: Signature() = %v, want %v", ctor.name, lossy, got, want)
+			}
+			st := drive(t, c, ioa.SendPkt(ioa.RT, mkPkt(1, "a")))
+			_, err := c.Step(st, c.Lose(mkPkt(1, "a")))
+			if lossy && err != nil {
+				t.Errorf("%s WithLoss: lose rejected: %v", ctor.name, err)
+			}
+			if !lossy && !errors.Is(err, ioa.ErrNotInSignature) {
+				t.Errorf("%s: lose err = %v, want ErrNotInSignature", ctor.name, err)
+			}
+		}
 	}
 }
 
@@ -388,5 +428,37 @@ func TestEquivFingerprintErasesIdentities(t *testing.T) {
 	}
 	if st1.Fingerprint() == st2.Fingerprint() {
 		t.Error("exact fingerprints should differ")
+	}
+}
+
+// BenchmarkChannelStep measures the channel's transition relation from a
+// state with three packets in transit: one op is a send_pkt step and a
+// receive_pkt step of the oldest packet, both from that state.
+func BenchmarkChannelStep(b *testing.B) {
+	for _, c := range []*Channel{NewPermissive(ioa.TR), NewPermissiveFIFO(ioa.TR)} {
+		name := "non-fifo"
+		if c.FIFO() {
+			name = "fifo"
+		}
+		b.Run(name, func(b *testing.B) {
+			st := c.Start()
+			for id := uint64(1); id <= 3; id++ {
+				var err error
+				if st, err = c.Step(st, ioa.SendPkt(ioa.TR, mkPkt(id, "h"))); err != nil {
+					b.Fatal(err)
+				}
+			}
+			send, recv := ioa.SendPkt(ioa.TR, mkPkt(4, "h")), ioa.ReceivePkt(ioa.TR, mkPkt(1, "h"))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := c.Step(st, send); err != nil {
+					b.Fatal(err)
+				}
+				if _, err := c.Step(st, recv); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

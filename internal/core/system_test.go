@@ -155,3 +155,37 @@ func TestSystemSurgery(t *testing.T) {
 		t.Error("surgery changed the transmitter state")
 	}
 }
+
+// BenchmarkSystemStep measures the composed step that the explorer, the
+// simulator and the pumps take: Composition.Enabled on one state of the
+// e11 system (Stenning over C̄), then one Step per enabled action. The
+// state follows four e11 inputs and eight locally-controlled steps; in it
+// both stations can send and both channels can deliver (five actions).
+func BenchmarkSystemStep(b *testing.B) {
+	sys, err := core.NewSystem(protocol.NewStenning(), false)
+	if err != nil {
+		b.Fatal(err)
+	}
+	st := sys.Comp.Start()
+	step := func(a ioa.Action) {
+		if st, err = sys.Comp.Step(st, a); err != nil {
+			b.Fatal(err)
+		}
+	}
+	for _, a := range []ioa.Action{ioa.Wake(ioa.TR), ioa.Wake(ioa.RT), ioa.SendMsg(ioa.TR, "m1"), ioa.SendMsg(ioa.TR, "m2")} {
+		step(a)
+	}
+	for i := 0; i < 8; i++ {
+		en := sys.Comp.Enabled(st)
+		step(en[3*i%len(en)])
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, a := range sys.Comp.Enabled(st) {
+			if _, err := sys.Comp.Step(st, a); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+}

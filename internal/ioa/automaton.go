@@ -65,7 +65,10 @@ type Automaton interface {
 	// Name identifies the automaton, used to qualify internal actions and
 	// fairness classes in compositions.
 	Name() string
-	// Signature returns the automaton's action signature.
+	// Signature returns the automaton's action signature. A signature is
+	// a fixed part of the automaton, so callers such as Compose read it
+	// once and keep it: the returned value (and the pattern slices it
+	// shares) is immutable, and callers must not mutate it.
 	Signature() Signature
 	// Start returns the start state. Automata in this repository have a
 	// unique start state (as required of crashing automata, Section 5.3.2).

@@ -56,6 +56,7 @@ var (
 type Composition struct {
 	name       string
 	components []Automaton
+	sigs       []Signature // sigs[i] is components[i].Signature()
 	sig        Signature
 }
 
@@ -75,7 +76,7 @@ func Compose(name string, components ...Automaton) (*Composition, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Composition{name: name, components: components, sig: sig}, nil
+	return &Composition{name: name, components: components, sigs: sigs, sig: sig}, nil
 }
 
 // Name returns the composition's name.
@@ -155,7 +156,7 @@ func (c *Composition) Step(s State, a Action) (State, error) {
 	}
 	parts := append([]State(nil), cs.Parts...)
 	for i, m := range c.components {
-		if !m.Signature().Contains(a) {
+		if !c.sigs[i].Contains(a) {
 			continue
 		}
 		next, err := m.Step(cs.Parts[i], a)
@@ -187,8 +188,8 @@ func (c *Composition) Enabled(s State) []Action {
 // qualified by the owning component's name. part(A) is the union of the
 // component partitions (Section 2.5.2).
 func (c *Composition) ClassOf(a Action) Class {
-	for _, m := range c.components {
-		if m.Signature().ContainsLocal(a) {
+	for i, m := range c.components {
+		if c.sigs[i].ContainsLocal(a) {
 			return Class(m.Name()) + "/" + m.ClassOf(a)
 		}
 	}
@@ -215,14 +216,13 @@ func (c *Composition) ProjectExecution(e *Execution, name string) (*Execution, e
 	if i < 0 {
 		return nil, fmt.Errorf("ioa: no component named %q in %s", name, c.name)
 	}
-	m := c.components[i]
 	first, ok := e.States[0].(CompositeState)
 	if !ok {
 		return nil, fmt.Errorf("%w: want CompositeState, got %T", ErrBadState, e.States[0])
 	}
 	proj := NewExecution(first.Parts[i])
 	for k, a := range e.Actions {
-		if !m.Signature().Contains(a) {
+		if !c.sigs[i].Contains(a) {
 			continue
 		}
 		next, ok := e.States[k+1].(CompositeState)

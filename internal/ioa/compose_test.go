@@ -229,6 +229,47 @@ func TestProjectExecution(t *testing.T) {
 	}
 }
 
+// sigCounter wraps an automaton and counts calls to its Signature.
+type sigCounter struct {
+	Automaton
+	calls int
+}
+
+func (c *sigCounter) Signature() Signature {
+	c.calls++
+	return c.Automaton.Signature()
+}
+
+// TestCompositionReadsSignaturesOnce pins that a composition reads each
+// component's signature when it is built and routes every later step,
+// class lookup and projection through the stored copy.
+func TestCompositionReadsSignaturesOnce(t *testing.T) {
+	e, s := &sigCounter{Automaton: echo{}}, &sigCounter{Automaton: sink{}}
+	comp, err := Compose("pair", e, s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	built := e.calls + s.calls
+	st := comp.Start()
+	exec := NewExecution(st)
+	for _, a := range []Action{SendMsg(TR, "a"), SendMsg(TR, "b"), ReceiveMsg(TR, "a")} {
+		comp.Enabled(st)
+		comp.ClassOf(a)
+		if st, err = comp.Step(st, a); err != nil {
+			t.Fatal(err)
+		}
+		exec.Append(a, st)
+	}
+	for _, name := range []string{"echo", "sink"} {
+		if _, err := comp.ProjectExecution(exec, name); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := e.calls + s.calls; got != built {
+		t.Errorf("Signature called %d times after Compose, want 0", got-built)
+	}
+}
+
 func TestHiddenDelegation(t *testing.T) {
 	comp, err := Compose("pair", echo{}, sink{})
 	if err != nil {
