@@ -75,9 +75,7 @@ type options struct {
 	checkFIFO  bool
 	crashes    []ioa.Dir
 	workers    int
-	exactDedup bool
 	symmetry   bool
-	por        bool
 	cpuProfile string
 	memProfile string
 	tracePath  string
@@ -112,9 +110,7 @@ func main() {
 	flag.IntVar(&o.maxStates, "maxstates", explore.DefaultMaxStates, "state budget")
 	flag.BoolVar(&o.checkFIFO, "dl6", false, "also check delivery order (DL6)")
 	flag.IntVar(&o.workers, "workers", runtime.NumCPU(), "parallel BFS workers per level")
-	flag.BoolVar(&o.exactDedup, "exactdedup", false, "dedup on full fingerprints instead of 64-bit hashes")
 	flag.BoolVar(&o.symmetry, "symmetry", false, "symmetry reduction: dedup on canonical payload/packet-ID fingerprints")
-	flag.BoolVar(&o.por, "por", false, "partial-order reduction: one canonical order for commuting deliveries/losses")
 	flag.StringVar(&o.cpuProfile, "cpuprofile", "", "write a CPU profile to this file")
 	flag.StringVar(&o.memProfile, "memprofile", "", "write a heap profile to this file")
 	flag.StringVar(&o.tracePath, "trace", "", "write a JSONL trace of the search to this file")
@@ -343,9 +339,7 @@ func run(o options, out io.Writer) (err error) {
 		MaxStates:    o.maxStates,
 		MaxInTransit: o.inTransit,
 		Workers:      o.workers,
-		ExactDedup:   o.exactDedup,
 		Symmetry:     o.symmetry,
-		POR:          o.por,
 		Metrics:      reg,
 		Trace:        tr,
 		OnLevel:      onLevel,
@@ -374,8 +368,8 @@ func run(o options, out io.Writer) (err error) {
 			}
 		}
 	}
-	fmt.Fprintf(out, "protocol=%s channels=%s pool=%d inputs, depth≤%d, in-transit≤%d, workers=%d, symmetry=%t, por=%t\n",
-		p.Name, channelKind(o.fifo), len(inputs), o.depth, o.inTransit, o.workers, o.symmetry, o.por)
+	fmt.Fprintf(out, "protocol=%s channels=%s pool=%d inputs, depth≤%d, in-transit≤%d, workers=%d, symmetry=%t\n",
+		p.Name, channelKind(o.fifo), len(inputs), o.depth, o.inTransit, o.workers, o.symmetry)
 	fmt.Fprintf(out, "explored %d states in %v (%.0f states/sec, deepest path %d, exhausted=%t, seen-set ≈%d bytes)\n",
 		res.StatesExplored, elapsed.Round(time.Millisecond),
 		float64(res.StatesExplored)/elapsed.Seconds(), res.DepthReached, res.Exhausted, res.SeenSetBytes)

@@ -61,11 +61,10 @@ func TestRunFindsAndVerifies(t *testing.T) {
 			t.Errorf("profile %s not written (err=%v)", path, err)
 		}
 	}
-	// Finds the crash bug (exact-dedup path).
+	// Finds the crash bug.
 	o = base
 	o.proto, o.fifo, o.msgs, o.depth, o.inTransit = "abp", true, 1, 20, 2
 	o.crashes = []ioa.Dir{ioa.RT}
-	o.exactDedup = true
 	if err := run(o, io.Discard); err != nil {
 		t.Errorf("abp crash search: %v", err)
 	}

@@ -10,19 +10,15 @@
 //	loadgen -mode loopback -protocol gbn -msgs 100000
 //	loadgen -mode loopback -protocol gbn -n 2 -w 1 -faults reorder,loss -fifo=false
 //	loadgen -mode tcp -addr 127.0.0.1:4444 -protocol abp -msgs 1000
-//	loadgen -mode loopback -protocol gbn -msgs 100000 -json BENCH_serve.json
 //	loadgen -mode tcp -addr 127.0.0.1:4444 -trace client.jsonl -snapshot-every 1s
 package main
 
 import (
-	"bytes"
-	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"os"
-	"runtime"
 	"time"
 
 	"repro/internal/obs"
@@ -50,8 +46,6 @@ func main() {
 		addr    = flag.String("addr", "127.0.0.1:4444", "dlserve address (tcp mode)")
 		timeout = flag.Duration("timeout", 60*time.Second, "session deadline (tcp mode)")
 		metrics = flag.Bool("metrics", false, "print an obs snapshot as JSON")
-		bench   = flag.String("json", "", "append a goodput+latency benchmark entry to this JSON file")
-		label   = flag.String("label", "", "label for the benchmark entry (-json)")
 		trace   = flag.String("trace", "", "write a JSONL trace (session events in tcp mode) to this file")
 		every   = flag.Duration("snapshot-every", 0, "emit metrics-snapshot trace events at this interval (needs -trace)")
 	)
@@ -65,7 +59,7 @@ func main() {
 		mode: *mode, proto: *proto, n: *n, w: *w, fifo: *fifo,
 		msgs: *msgs, window: *window, faults: *faults, rate: *rate,
 		seed: *seed, addr: *addr, timeout: *timeout, metrics: *metrics,
-		bench: *bench, label: *label, tracePath: *trace, snapshotEvery: *every,
+		tracePath: *trace, snapshotEvery: *every,
 	})
 	switch {
 	case err == nil:
@@ -89,37 +83,8 @@ type options struct {
 	addr          string
 	timeout       time.Duration
 	metrics       bool
-	bench, label  string
 	tracePath     string
 	snapshotEvery time.Duration
-}
-
-// benchEntry is one BENCH_serve.json record: the serving-path goodput
-// trajectory, same append-style array convention as BENCH_explore.json.
-type benchEntry struct {
-	Experiment   string  `json:"experiment"`
-	Label        string  `json:"label,omitempty"`
-	Mode         string  `json:"mode"`
-	Protocol     string  `json:"protocol"`
-	N            int     `json:"n"`
-	W            int     `json:"w"`
-	FIFO         bool    `json:"fifo"`
-	Faults       string  `json:"faults"`
-	Rate         float64 `json:"rate"`
-	Seed         int64   `json:"seed"`
-	Msgs         int     `json:"msgs"`
-	Window       int     `json:"window"`
-	Cores        int     `json:"cores"`
-	GoMaxProcs   int     `json:"gomaxprocs"`
-	Delivered    int64   `json:"delivered"`
-	DurationMS   float64 `json:"duration_ms"`
-	GoodputMsgS  float64 `json:"goodput_msg_per_s"`
-	FramesSent   int64   `json:"frames_sent"`
-	FrameBytes   int64   `json:"frame_bytes_sent"`
-	LatencyP50US int64   `json:"latency_p50_us"`
-	LatencyP95US int64   `json:"latency_p95_us"`
-	LatencyP99US int64   `json:"latency_p99_us"`
-	RetransMean  float64 `json:"retransmits_per_msg_mean"`
 }
 
 func run(out io.Writer, o options) (err error) {
@@ -198,7 +163,6 @@ func run(out io.Writer, o options) (err error) {
 	default:
 		return fmt.Errorf("unknown mode %q (want loopback or tcp)", o.mode)
 	}
-	elapsed := time.Since(start)
 	tick.Stop()
 	if tr != nil {
 		tr.Emit("metrics", obs.JSON("snapshot", reg.Snapshot()))
@@ -209,18 +173,6 @@ func run(out io.Writer, o options) (err error) {
 		if err := reg.Snapshot().WriteJSON(out); err != nil {
 			return err
 		}
-	}
-	if o.bench != "" {
-		if err := appendBenchEntry(o.bench, benchEntry{
-			Experiment: "serve", Label: o.label, Mode: o.mode,
-			Protocol: o.proto, N: o.n, W: o.w, FIFO: o.fifo,
-			Faults: o.faults, Rate: o.rate, Seed: o.seed,
-			Msgs: o.msgs, Window: o.window,
-			Cores: runtime.NumCPU(), GoMaxProcs: runtime.GOMAXPROCS(0),
-		}, reg.Snapshot(), elapsed); err != nil {
-			return err
-		}
-		fmt.Fprintf(out, "appended entry to %s\n", o.bench)
 	}
 	if !verdicts.Clean() {
 		return fmt.Errorf("%w: %d signalled online; %s", errViolation, violations, verdicts)
@@ -248,53 +200,4 @@ func report(out io.Writer, reg *obs.Registry, start time.Time, want int) {
 		snap.Counter("transport.frames_sent"), snap.Counter("transport.frame_bytes_sent"),
 		snap.Counter("transport.frames_received"), snap.Counter("transport.decode_errors"),
 		snap.Counter("transport.faults_injected"))
-}
-
-// appendBenchEntry fills entry's measured fields from the snapshot and
-// appends it to path, a JSON array of entries (a legacy single-object
-// file is wrapped into a one-entry array, so history is never lost).
-func appendBenchEntry(path string, entry benchEntry, snap obs.Snapshot, elapsed time.Duration) error {
-	entry.Delivered = snap.Counter("transport.msgs_delivered")
-	entry.DurationMS = float64(elapsed.Microseconds()) / 1000
-	if secs := elapsed.Seconds(); secs > 0 {
-		entry.GoodputMsgS = float64(entry.Delivered) / secs
-	}
-	entry.FramesSent = snap.Counter("transport.frames_sent")
-	entry.FrameBytes = snap.Counter("transport.frame_bytes_sent")
-	if lat, ok := snap.Histogram("transport.delivery_latency"); ok {
-		entry.LatencyP50US, entry.LatencyP95US, entry.LatencyP99US = lat.P50, lat.P95, lat.P99
-	}
-	if rtx, ok := snap.Histogram("transport.retransmits_per_msg"); ok {
-		entry.RetransMean = rtx.Mean
-	}
-
-	var entries []json.RawMessage
-	blob, err := os.ReadFile(path)
-	switch {
-	case err == nil && len(bytes.TrimSpace(blob)) > 0:
-		trimmed := bytes.TrimSpace(blob)
-		if trimmed[0] == '[' {
-			if err := json.Unmarshal(trimmed, &entries); err != nil {
-				return fmt.Errorf("loadgen: %s is not a valid benchmark array: %w", path, err)
-			}
-		} else {
-			var legacy benchEntry
-			if err := json.Unmarshal(trimmed, &legacy); err != nil {
-				return fmt.Errorf("loadgen: %s is not a valid benchmark entry: %w", path, err)
-			}
-			entries = append(entries, json.RawMessage(trimmed))
-		}
-	case err != nil && !os.IsNotExist(err):
-		return err
-	}
-	raw, err := json.Marshal(entry)
-	if err != nil {
-		return err
-	}
-	entries = append(entries, raw)
-	blob, err = json.MarshalIndent(entries, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(blob, '\n'), 0o644)
 }

@@ -2,7 +2,6 @@ package main
 
 import (
 	"bufio"
-	"encoding/json"
 	"errors"
 	"net"
 	"os"
@@ -109,43 +108,6 @@ func TestLatencyLine(t *testing.T) {
 	}
 	if !strings.Contains(out.String(), "(100 spans)") {
 		t.Errorf("span count missing:\n%s", out.String())
-	}
-}
-
-// TestBenchAppend: -json appends array entries across runs, with the
-// goodput and latency fields filled in.
-func TestBenchAppend(t *testing.T) {
-	bench := filepath.Join(t.TempDir(), "BENCH_serve.json")
-	for i := 0; i < 2; i++ {
-		var out strings.Builder
-		err := run(&out, options{mode: "loopback", proto: "gbn", n: 8, w: 3, fifo: true,
-			msgs: 200, window: 8, faults: "none", seed: 1, bench: bench, label: "test"})
-		if err != nil {
-			t.Fatalf("run %d: %v\n%s", i, err, out.String())
-		}
-		if !strings.Contains(out.String(), "appended entry to") {
-			t.Errorf("run %d output missing append notice:\n%s", i, out.String())
-		}
-	}
-	blob, err := os.ReadFile(bench)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var entries []benchEntry
-	if err := json.Unmarshal(blob, &entries); err != nil {
-		t.Fatalf("bench file does not parse: %v\n%s", err, blob)
-	}
-	if len(entries) != 2 {
-		t.Fatalf("bench file has %d entries, want 2", len(entries))
-	}
-	for i, e := range entries {
-		if e.Experiment != "serve" || e.Label != "test" || e.Mode != "loopback" ||
-			e.Delivered != 200 || e.GoodputMsgS <= 0 || e.DurationMS <= 0 {
-			t.Errorf("entry %d = %+v", i, e)
-		}
-		if e.LatencyP50US < 0 || e.LatencyP99US < e.LatencyP50US {
-			t.Errorf("entry %d latency quantiles inconsistent: %+v", i, e)
-		}
 	}
 }
 

@@ -79,8 +79,9 @@ func main() {
 	}
 }
 
-// levelEvent mirrors the explorer's explore.level trace event. The
-// reduction fields are zero on traces from runs without -symmetry/-por.
+// levelEvent mirrors the explorer's explore.level trace event.
+// SymmetryRenames is zero on traces from runs without -symmetry;
+// PORPruned counts the partial-order reduction every search applies.
 type levelEvent struct {
 	Depth           int     `json:"depth"`
 	Frontier        int     `json:"frontier"`
@@ -286,16 +287,15 @@ func writeIntervals(out io.Writer, snaps []snapshotEvent) {
 
 // writeReduction summarises the symmetry/POR reductions when the trace
 // carries any evidence of them: nonzero per-level rename/prune deltas,
-// or the explore.symmetry_renames / explore.por_pruned counters and the
-// explore.ample_size histogram in the final metrics snapshot. Traces
-// from unreduced runs print nothing here.
+// or the explore.symmetry_renames / explore.por_pruned counters in the
+// final metrics snapshot. Traces of searches in which neither reduction
+// did anything print nothing here.
 func writeReduction(out io.Writer, levels []levelEvent, snap *obs.Snapshot) {
 	var renames, pruned int64
 	for _, le := range levels {
 		renames += le.SymmetryRenames
 		pruned += le.PORPruned
 	}
-	var ample *obs.HistogramSnapshot
 	if snap != nil {
 		for _, c := range snap.Counters {
 			switch c.Name {
@@ -309,25 +309,16 @@ func writeReduction(out io.Writer, levels []levelEvent, snap *obs.Snapshot) {
 				}
 			}
 		}
-		for i, h := range snap.Histograms {
-			if h.Name == "explore.ample_size" {
-				ample = &snap.Histograms[i]
-			}
-		}
 	}
-	// The instruments are registered even on unreduced runs, so a
-	// zero-count histogram or zero counters mean "reductions off" —
-	// stay silent rather than printing an all-zero section.
-	if renames == 0 && pruned == 0 && (ample == nil || ample.Count == 0) {
+	// The counters are registered on every run, so zero counters mean
+	// "nothing reduced": stay silent rather than print an all-zero
+	// section.
+	if renames == 0 && pruned == 0 {
 		return
 	}
 	fmt.Fprintln(out, "\nreduction:")
 	fmt.Fprintf(out, "  symmetry renames     %10d\n", renames)
 	fmt.Fprintf(out, "  por pruned           %10d\n", pruned)
-	if ample != nil && ample.Count > 0 {
-		fmt.Fprintf(out, "  ample-set size: mean %.1f, p50 %d, p90 %d, p99 %d over %d expansions\n",
-			ample.Mean, ample.P50, ample.P90, ample.P99, ample.Count)
-	}
 	var active int
 	for _, le := range levels {
 		if le.SymmetryRenames > 0 || le.PORPruned > 0 {

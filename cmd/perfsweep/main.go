@@ -2,10 +2,11 @@
 //
 //	perfsweep -exp e6    goodput versus window size under loss and delay
 //	                     (the ARQ motivation for sliding windows, §1)
+//	perfsweep -exp e6b   Go-Back-N versus Selective Repeat goodput under loss
 //	perfsweep -exp e4    Stenning header growth over reordering channels
 //	                     (the linear growth Theorem 8.5 makes unavoidable)
-//	perfsweep -exp e11   model-checker throughput and dedup memory across
-//	                     worker counts; -json writes BENCH_explore.json
+//
+// The explorer's throughput is measured by dlbench (`bash dlbench/run.sh`).
 package main
 
 import (
@@ -20,16 +21,13 @@ import (
 
 func main() {
 	var (
-		exp     = flag.String("exp", "e6", "experiment: e4 (header growth), e6 (goodput sweep), e6b (GBN vs SR under loss) or e11 (model-checker throughput)")
+		exp     = flag.String("exp", "e6", "experiment: e4 (header growth), e6 (goodput sweep) or e6b (GBN vs SR under loss)")
 		delay   = flag.Int("delay", 8, "e6: one-way link delay in ticks")
 		ticks   = flag.Int("ticks", 50000, "e6: simulated ticks per cell")
 		windows = flag.String("windows", "1,2,4,8,16,32", "e6: comma-separated window sizes")
 		losses  = flag.String("losses", "0,0.01,0.05,0.1,0.2", "e6: comma-separated loss rates")
 		sizes   = flag.String("sizes", "10,30,100,300,1000", "e4: comma-separated message counts")
 		seed    = flag.Int64("seed", 1, "random seed")
-		sweepW  = flag.String("sweepworkers", "1,2,4,8", "e11: comma-separated BFS worker counts")
-		jsonOut = flag.String("json", "", "e11: also append a machine-readable entry to this file")
-		label   = flag.String("label", "", "e11: label recorded on the benchmark entry")
 	)
 	flag.Parse()
 	if flag.NArg() > 0 {
@@ -45,8 +43,6 @@ func main() {
 		err = runE6b(*windows, *losses, *delay, *ticks, *seed)
 	case "e4":
 		err = runE4(*sizes, *seed)
-	case "e11":
-		err = runE11(*sweepW, *jsonOut, *label)
 	default:
 		err = fmt.Errorf("unknown experiment %q", *exp)
 	}

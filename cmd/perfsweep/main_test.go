@@ -1,10 +1,6 @@
 package main
 
-import (
-	"encoding/json"
-	"os"
-	"testing"
-)
+import "testing"
 
 func TestParseInts(t *testing.T) {
 	got, err := parseInts("1, 2,3")
@@ -41,95 +37,5 @@ func TestRunExperiments(t *testing.T) {
 	}
 	if err := runE4("bad", 1); err == nil {
 		t.Error("expected parse error")
-	}
-	if err := runE11("bad", "", ""); err == nil {
-		t.Error("expected parse error")
-	}
-}
-
-func TestRunE11WritesJSON(t *testing.T) {
-	if testing.Short() {
-		t.Skip("e11 explores the full stenning space")
-	}
-	path := t.TempDir() + "/BENCH_explore.json"
-	if err := runE11("1,2", path, "test"); err != nil {
-		t.Fatalf("runE11: %v", err)
-	}
-	blob, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var entries []e11Result
-	if err := json.Unmarshal(blob, &entries); err != nil {
-		t.Fatalf("invalid JSON: %v", err)
-	}
-	if len(entries) != 1 {
-		t.Fatalf("got %d entries, want 1", len(entries))
-	}
-	out := entries[0]
-	if out.Label != "test" {
-		t.Errorf("label %q, want %q", out.Label, "test")
-	}
-	if len(out.Runs) != 2 || out.States == 0 || !out.Exhausted {
-		t.Errorf("unexpected result: %+v", out)
-	}
-	if out.DedupBytesRatio < 3 {
-		t.Errorf("dedup bytes ratio %.1f, want ≥ 3", out.DedupBytesRatio)
-	}
-	if out.PeakFrontier <= 0 {
-		t.Errorf("peak frontier %d, want > 0", out.PeakFrontier)
-	}
-	if out.DedupHitRate <= 0 || out.DedupHitRate >= 1 {
-		t.Errorf("dedup hit rate %.3f, want in (0,1)", out.DedupHitRate)
-	}
-}
-
-// TestAppendBenchEntry covers the append-style history file: a fresh
-// file gets a one-entry array, a legacy single-object file is wrapped,
-// and appending to an array preserves earlier entries.
-func TestAppendBenchEntry(t *testing.T) {
-	dir := t.TempDir()
-
-	fresh := dir + "/fresh.json"
-	if err := appendBenchEntry(fresh, e11Result{Experiment: "e11", Label: "a"}); err != nil {
-		t.Fatal(err)
-	}
-	var entries []e11Result
-	blob, _ := os.ReadFile(fresh)
-	if err := json.Unmarshal(blob, &entries); err != nil || len(entries) != 1 || entries[0].Label != "a" {
-		t.Fatalf("fresh file: entries=%+v err=%v", entries, err)
-	}
-
-	legacy := dir + "/legacy.json"
-	if err := os.WriteFile(legacy, []byte(`{"experiment":"e11","states":42}`), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if err := appendBenchEntry(legacy, e11Result{Experiment: "e11", Label: "b"}); err != nil {
-		t.Fatal(err)
-	}
-	blob, _ = os.ReadFile(legacy)
-	entries = nil
-	if err := json.Unmarshal(blob, &entries); err != nil || len(entries) != 2 {
-		t.Fatalf("legacy wrap: entries=%+v err=%v", entries, err)
-	}
-	if entries[0].States != 42 || entries[1].Label != "b" {
-		t.Errorf("legacy wrap lost history: %+v", entries)
-	}
-
-	if err := appendBenchEntry(legacy, e11Result{Experiment: "e11", Label: "c"}); err != nil {
-		t.Fatal(err)
-	}
-	blob, _ = os.ReadFile(legacy)
-	entries = nil
-	if err := json.Unmarshal(blob, &entries); err != nil || len(entries) != 3 || entries[2].Label != "c" {
-		t.Fatalf("array append: entries=%+v err=%v", entries, err)
-	}
-
-	garbage := dir + "/garbage.json"
-	if err := os.WriteFile(garbage, []byte("not json"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if err := appendBenchEntry(garbage, e11Result{}); err == nil {
-		t.Error("appendBenchEntry accepted a corrupt file")
 	}
 }

@@ -23,20 +23,19 @@ import (
 // A checkpoint is a durable snapshot of the BFS taken at a level
 // barrier: the current frontier (as per-node schedules, replayable
 // through the deterministic Step/monitor machinery), the seen-set (hash
-// seed + admitted fingerprints, or full keys in exact mode), and the
-// cumulative counters. Because levels are barriers, the snapshot is a
-// *complete* cut of the search: resuming from it and running to the end
-// yields the same Result the uninterrupted run would have produced
-// (identical StatesExplored, DepthReached, Exhausted/DepthLimited, and
-// — for sequential searches — the identical violation trace; see
-// DESIGN.md on the level-barrier resume invariant).
+// seed + admitted fingerprints), and the cumulative counters. Because
+// levels are barriers, the snapshot is a *complete* cut of the search:
+// resuming from it and running to the end yields the same Result the
+// uninterrupted run would have produced (identical StatesExplored,
+// DepthReached, Exhausted/DepthLimited, and — for sequential searches —
+// the identical violation trace; see DESIGN.md on the level-barrier
+// resume invariant).
 //
-// On-disk format (version 1): a JSONL file of
+// On-disk format (version 2): a JSONL file of
 //
-//	header   {"magic":"dl-explore-checkpoint","version":1,"config":...}
+//	header   {"magic":"dl-explore-checkpoint","version":2,"config":...}
 //	nodes    {"n":[<action>,...]}          one line per frontier node
-//	seen     {"h":"<base64 u64le...>"}     hashed mode, chunked
-//	         {"k":["<base64 key>",...]}    exact mode, chunked
+//	seen     {"h":"<base64 u64le...>"}     admitted fingerprints, chunked
 //	footer   {"end":<line count>,"crc":"<crc32c-hex of all prior bytes>"}
 //
 // written atomically (tmp + rename). The decoder is strict: wrong magic
@@ -52,7 +51,7 @@ const CheckpointMagic = "dl-explore-checkpoint"
 
 // CheckpointVersion is the current format version; decoders reject
 // anything else.
-const CheckpointVersion = 1
+const CheckpointVersion = 2
 
 // ErrCheckpointFormat reports a structurally invalid checkpoint file.
 var ErrCheckpointFormat = errors.New("explore: invalid checkpoint")
@@ -96,18 +95,14 @@ type Checkpoint struct {
 	States int64
 	// Truncated records whether the state budget had already been hit.
 	Truncated bool
-	// Exact records the dedup mode; it must match Config.ExactDedup.
-	Exact bool
-	// HashSeed is the hashed seen-set's seed (hashed mode only): the
-	// resumed search must map keys to the same fingerprints.
+	// HashSeed is the seen-set's hash seed: the resumed search must map
+	// keys to the same fingerprints.
 	HashSeed uint64
 	// Frontier holds one schedule per frontier node, in frontier order;
 	// resume replays each through the deterministic step machinery.
 	Frontier []ioa.Schedule
-	// SeenHashes (hashed mode) / SeenKeys (exact mode) are the admitted
-	// dedup entries, sorted.
+	// SeenHashes are the admitted dedup fingerprints, sorted.
 	SeenHashes []uint64
-	SeenKeys   []string
 }
 
 // wire types of the JSONL lines.
@@ -119,8 +114,7 @@ type ckptHeader struct {
 	DepthReached int    `json:"depth_reached"`
 	States       int64  `json:"states"`
 	Truncated    bool   `json:"truncated"`
-	Exact        bool   `json:"exact"`
-	Seed         string `json:"seed,omitempty"`
+	Seed         string `json:"seed"`
 	Nodes        int    `json:"nodes"`
 	SeenLines    int    `json:"seen_lines"`
 }
@@ -130,8 +124,7 @@ type ckptNodeLine struct {
 }
 
 type ckptSeenLine struct {
-	H string   `json:"h,omitempty"`
-	K []string `json:"k,omitempty"`
+	H string `json:"h"`
 }
 
 type ckptFooter struct {
@@ -139,20 +132,9 @@ type ckptFooter struct {
 	CRC string `json:"crc"`
 }
 
-// Chunk sizes keep individual JSONL lines comfortably under the
+// ckptHashesPerLine keeps individual JSONL lines comfortably under the
 // decoder's buffer while amortising per-line overhead.
-const (
-	ckptHashesPerLine = 4096
-	ckptKeysPerLine   = 64
-)
-
-// seenLineCount returns how many seen lines the checkpoint encodes to.
-func (c *Checkpoint) seenLineCount() int {
-	if c.Exact {
-		return (len(c.SeenKeys) + ckptKeysPerLine - 1) / ckptKeysPerLine
-	}
-	return (len(c.SeenHashes) + ckptHashesPerLine - 1) / ckptHashesPerLine
-}
+const ckptHashesPerLine = 4096
 
 // EncodeCheckpoint writes the versioned JSONL encoding of c to w,
 // checksummed with a trailing footer line.
@@ -175,12 +157,9 @@ func EncodeCheckpoint(w io.Writer, c *Checkpoint) error {
 		DepthReached: c.DepthReached,
 		States:       c.States,
 		Truncated:    c.Truncated,
-		Exact:        c.Exact,
+		Seed:         strconv.FormatUint(c.HashSeed, 16),
 		Nodes:        len(c.Frontier),
-		SeenLines:    c.seenLineCount(),
-	}
-	if !c.Exact {
-		head.Seed = strconv.FormatUint(c.HashSeed, 16)
+		SeenLines:    (len(c.SeenHashes) + ckptHashesPerLine - 1) / ckptHashesPerLine,
 	}
 	if err := writeLine(head); err != nil {
 		return err
@@ -219,28 +198,15 @@ func EncodeCheckpoint(w io.Writer, c *Checkpoint) error {
 			return err
 		}
 	}
-	if c.Exact {
-		for i := 0; i < len(c.SeenKeys); i += ckptKeysPerLine {
-			end := min(i+ckptKeysPerLine, len(c.SeenKeys))
-			enc := make([]string, 0, end-i)
-			for _, k := range c.SeenKeys[i:end] {
-				enc = append(enc, base64.StdEncoding.EncodeToString([]byte(k)))
-			}
-			if err := writeLine(ckptSeenLine{K: enc}); err != nil {
-				return err
-			}
+	buf := make([]byte, 0, ckptHashesPerLine*8)
+	for i := 0; i < len(c.SeenHashes); i += ckptHashesPerLine {
+		end := min(i+ckptHashesPerLine, len(c.SeenHashes))
+		buf = buf[:0]
+		for _, h := range c.SeenHashes[i:end] {
+			buf = binary.LittleEndian.AppendUint64(buf, h)
 		}
-	} else {
-		buf := make([]byte, 0, ckptHashesPerLine*8)
-		for i := 0; i < len(c.SeenHashes); i += ckptHashesPerLine {
-			end := min(i+ckptHashesPerLine, len(c.SeenHashes))
-			buf = buf[:0]
-			for _, h := range c.SeenHashes[i:end] {
-				buf = binary.LittleEndian.AppendUint64(buf, h)
-			}
-			if err := writeLine(ckptSeenLine{H: base64.StdEncoding.EncodeToString(buf)}); err != nil {
-				return err
-			}
+		if err := writeLine(ckptSeenLine{H: base64.StdEncoding.EncodeToString(buf)}); err != nil {
+			return err
 		}
 	}
 	lines := 1 + len(c.Frontier) + head.SeenLines
@@ -290,16 +256,26 @@ func DecodeCheckpoint(r io.Reader) (*Checkpoint, error) {
 	if err != nil {
 		return nil, err
 	}
+	// Magic and version are read before the strict decode, so a file of
+	// another version is reported by its version, not by a header field
+	// this version lacks.
+	var id struct {
+		Magic   string `json:"magic"`
+		Version int    `json:"version"`
+	}
+	if err := json.Unmarshal(line, &id); err != nil {
+		return nil, fmt.Errorf("%w: line %d: %v", ErrCheckpointFormat, lineNo, err)
+	}
+	if id.Magic != CheckpointMagic {
+		return nil, fmt.Errorf("%w: magic %q", ErrCheckpointFormat, id.Magic)
+	}
+	if id.Version != CheckpointVersion {
+		return nil, fmt.Errorf("%w: version %d (this build reads version %d)",
+			ErrCheckpointFormat, id.Version, CheckpointVersion)
+	}
 	var head ckptHeader
 	if err := strict(line, &head); err != nil {
 		return nil, err
-	}
-	if head.Magic != CheckpointMagic {
-		return nil, fmt.Errorf("%w: magic %q", ErrCheckpointFormat, head.Magic)
-	}
-	if head.Version != CheckpointVersion {
-		return nil, fmt.Errorf("%w: version %d (this build reads version %d)",
-			ErrCheckpointFormat, head.Version, CheckpointVersion)
 	}
 	if head.Nodes < 0 || head.SeenLines < 0 || head.States < 0 {
 		return nil, fmt.Errorf("%w: negative count in header", ErrCheckpointFormat)
@@ -313,14 +289,9 @@ func DecodeCheckpoint(r io.Reader) (*Checkpoint, error) {
 		DepthReached: head.DepthReached,
 		States:       head.States,
 		Truncated:    head.Truncated,
-		Exact:        head.Exact,
 	}
-	if !head.Exact {
-		seed, err := strconv.ParseUint(head.Seed, 16, 64)
-		if err != nil {
-			return nil, fmt.Errorf("%w: bad seed %q", ErrCheckpointFormat, head.Seed)
-		}
-		c.HashSeed = seed
+	if c.HashSeed, err = strconv.ParseUint(head.Seed, 16, 64); err != nil {
+		return nil, fmt.Errorf("%w: bad seed %q", ErrCheckpointFormat, head.Seed)
 	}
 	c.Frontier = make([]ioa.Schedule, 0, min(head.Nodes, 1<<12))
 	for i := 0; i < head.Nodes; i++ {
@@ -352,25 +323,12 @@ func DecodeCheckpoint(r io.Reader) (*Checkpoint, error) {
 		if err := strict(line, &sl); err != nil {
 			return nil, err
 		}
-		switch {
-		case head.Exact && sl.K != nil && sl.H == "":
-			for _, enc := range sl.K {
-				key, err := base64.StdEncoding.DecodeString(enc)
-				if err != nil {
-					return nil, fmt.Errorf("%w: line %d: %v", ErrCheckpointFormat, lineNo, err)
-				}
-				c.SeenKeys = append(c.SeenKeys, string(key))
-			}
-		case !head.Exact && sl.H != "" && sl.K == nil:
-			blob, err := base64.StdEncoding.DecodeString(sl.H)
-			if err != nil || len(blob)%8 != 0 {
-				return nil, fmt.Errorf("%w: line %d: bad hash chunk", ErrCheckpointFormat, lineNo)
-			}
-			for ; len(blob) >= 8; blob = blob[8:] {
-				c.SeenHashes = append(c.SeenHashes, binary.LittleEndian.Uint64(blob))
-			}
-		default:
-			return nil, fmt.Errorf("%w: line %d: not a seen line for this mode", ErrCheckpointFormat, lineNo)
+		blob, err := base64.StdEncoding.DecodeString(sl.H)
+		if err != nil || len(blob) == 0 || len(blob)%8 != 0 {
+			return nil, fmt.Errorf("%w: line %d: bad hash chunk", ErrCheckpointFormat, lineNo)
+		}
+		for ; len(blob) >= 8; blob = blob[8:] {
+			c.SeenHashes = append(c.SeenHashes, binary.LittleEndian.Uint64(blob))
 		}
 	}
 
@@ -474,10 +432,10 @@ func ReadCheckpoint(path string) (*Checkpoint, error) {
 const configDigestSeed = 0xd1c4_c0de_0000_0001
 
 // configDigest fingerprints everything that determines the search's
-// future from a frontier cut: the input pool, the bounds, the dedup
-// mode, the monitor's start state and the system's start state (which
-// covers the protocol, parameters and channel variant through the dedup
-// key). Two searches with equal digests expand equal frontiers equally.
+// future from a frontier cut: the input pool, the bounds, the
+// reductions, the monitor's start state and the system's start state
+// (which covers the protocol, parameters and channel variant through the
+// dedup key). Two searches with equal digests expand equal frontiers equally.
 func (s *search) configDigest(start ioa.State, monitor Monitor) (string, error) {
 	key, err := s.appendDedupKey(nil, start, monitor, make([]bool, len(s.cfg.Inputs)), -1, nil)
 	if err != nil {
@@ -496,18 +454,16 @@ func (s *search) configDigest(start ioa.State, monitor Monitor) (string, error) 
 	buf = strconv.AppendInt(buf, int64(s.cfg.MaxInTransit), 10)
 	buf = append(buf, '|')
 	buf = strconv.AppendBool(buf, s.cfg.AllowLoss)
-	buf = append(buf, '|')
-	buf = strconv.AppendBool(buf, s.cfg.ExactDedup)
 	// Reductions change what the seen-set keys (symmetry) and which
-	// transitions are expanded (POR), so a checkpoint is only resumable
-	// under the same EFFECTIVE switches. Using s.sym (not cfg.Symmetry)
-	// means a requested-but-inert symmetry flag — non-opaque protocol,
-	// duplicate pool tokens — matches the unreduced digest it actually
-	// ran as.
+	// transitions are expanded (POR, off only in the tests' unreduced
+	// reference), so a checkpoint is only resumable under the same
+	// EFFECTIVE switches. Using s.sym (not cfg.Symmetry) means a
+	// requested-but-inert symmetry flag — non-opaque protocol, duplicate
+	// pool tokens — matches the unreduced digest it actually ran as.
 	buf = append(buf, '|')
 	buf = strconv.AppendBool(buf, s.sym)
 	buf = append(buf, '|')
-	buf = strconv.AppendBool(buf, s.por)
+	buf = strconv.AppendBool(buf, !s.cfg.unreduced)
 	return fmt.Sprintf("%016x", hash64(configDigestSeed, buf)), nil
 }
 
@@ -519,7 +475,6 @@ func (s *search) snapshot(lvl *arenaLevel, depthReached int) (*Checkpoint, error
 		DepthReached: depthReached,
 		States:       s.count.Load(),
 		Truncated:    s.truncated.Load(),
-		Exact:        s.cfg.ExactDedup,
 	}
 	if lvl.size() > 0 {
 		c.Level = lvl.depth
@@ -538,15 +493,12 @@ func (s *search) snapshot(lvl *arenaLevel, depthReached int) (*Checkpoint, error
 		flat = lvl.appendTraceOf(flat, i)
 		c.Frontier[i] = flat[start:len(flat):len(flat)]
 	}
-	switch set := s.seen.(type) {
-	case *hashedSeen:
-		c.HashSeed = set.hashSeed()
-		c.SeenHashes = set.hashes()
-	case *exactSeen:
-		c.SeenKeys = set.keys()
-	default:
+	set, ok := s.seen.(*hashedSeen)
+	if !ok {
 		return nil, fmt.Errorf("explore: seen-set %T does not support checkpointing", s.seen)
 	}
+	c.HashSeed = set.hashSeed()
+	c.SeenHashes = set.hashes()
 	return c, nil
 }
 
@@ -561,25 +513,14 @@ func (s *search) restore(c *Checkpoint) (*arenaLevel, error) {
 		return nil, fmt.Errorf("%w: digest %s, this search is %s",
 			ErrCheckpointMismatch, c.ConfigDigest, s.digest)
 	}
-	if c.Exact != s.cfg.ExactDedup {
-		return nil, fmt.Errorf("%w: dedup mode differs", ErrCheckpointMismatch)
+	set := newHashedSeenSeeded(c.HashSeed)
+	if s.cfg.Checkpoint.enabled() {
+		set.trackRuns()
 	}
-	if c.Exact {
-		set := newExactSeen()
-		for _, k := range c.SeenKeys {
-			set.Add([]byte(k))
-		}
-		s.seen = set
-	} else {
-		set := newHashedSeenSeeded(c.HashSeed)
-		if s.cfg.Checkpoint.enabled() {
-			set.trackRuns()
-		}
-		for _, h := range c.SeenHashes {
-			set.addSum(h)
-		}
-		s.seen = set
+	for _, h := range c.SeenHashes {
+		set.addSum(h)
 	}
+	s.seen = set
 	s.count.Store(c.States)
 	s.truncated.Store(c.Truncated)
 	lvl := newRootLevel(len(c.Frontier), c.Level, len(s.cfg.Inputs), s.usedStride)

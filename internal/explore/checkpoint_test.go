@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -148,7 +149,7 @@ func TestDepthLimitedBoundaries(t *testing.T) {
 }
 
 // TestCheckpointRoundTrip: Encode→Decode is the identity on the decoded
-// form, in both dedup modes, including an empty frontier.
+// form, including an empty frontier and an empty seen-set.
 func TestCheckpointRoundTrip(t *testing.T) {
 	for _, c := range []*Checkpoint{
 		{
@@ -169,8 +170,6 @@ func TestCheckpointRoundTrip(t *testing.T) {
 			DepthReached: 3,
 			States:       9,
 			Truncated:    true,
-			Exact:        true,
-			SeenKeys:     []string{"", "a∥b|m|01", string([]byte{0, 1, 2, 255})},
 		},
 		{ConfigDigest: "0", States: 1, HashSeed: 42, SeenHashes: []uint64{7}},
 	} {
@@ -193,8 +192,8 @@ func TestCheckpointRoundTrip(t *testing.T) {
 }
 
 // TestCheckpointDecodeRejectsCorruption: targeted corruptions of a valid
-// file — truncations, bit flips, tampered counters, trailing garbage —
-// must all error (never silently misresume).
+// file — truncations, bit flips, tampered counters, trailing garbage,
+// another format version — must all error (never silently misresume).
 func TestCheckpointDecodeRejectsCorruption(t *testing.T) {
 	var buf bytes.Buffer
 	err := EncodeCheckpoint(&buf, &Checkpoint{
@@ -234,7 +233,20 @@ func TestCheckpointDecodeRejectsCorruption(t *testing.T) {
 	corrupt("trailing garbage", append(append([]byte(nil), valid...), "{\"x\":1}\n"...))
 	tampered := bytes.Replace(append([]byte(nil), valid...), []byte(`"states":4`), []byte(`"states":5`), 1)
 	corrupt("tampered header", tampered)
-	corrupt("wrong version", bytes.Replace(append([]byte(nil), valid...), []byte(`"version":1`), []byte(`"version":9`), 1))
+	corrupt("wrong version", bytes.Replace(append([]byte(nil), valid...), []byte(`"version":2`), []byte(`"version":9`), 1))
+
+	// A version-1 file, intact, as the encoder of that version wrote it:
+	// its header still carries the retired "exact" dedup flag. It must
+	// be refused by its version, not misread.
+	const v1 = `{"magic":"dl-explore-checkpoint","version":1,"config":"00112233aabbccdd","level":1,"depth_reached":0,"states":2,"truncated":false,"exact":false,"seed":"63","nodes":1,"seen_lines":1}
+{"n":[{"kind":"wake","dir":"t,r"}]}
+{"h":"CgAAAAAAAAAUAAAAAAAAAA=="}
+{"end":3,"crc":"82832c56"}
+`
+	corrupt("version 1", []byte(v1))
+	if _, err := DecodeCheckpoint(strings.NewReader(v1)); err == nil || !strings.Contains(err.Error(), "version 1") {
+		t.Errorf("version 1: error %v does not name the file's version", err)
+	}
 }
 
 // TestCheckpointDecodeRejectsBadCut: the frontier is one BFS level, and
@@ -309,51 +321,45 @@ func TestResumeEquivalenceEveryLevel(t *testing.T) {
 }
 
 // TestResumeEquivalenceVerifyingRun: the same equivalence on a clean
-// exhaustive search at a sample of interrupt levels, in both dedup
-// modes, and resuming with a different worker count (the Result is
-// Workers-independent).
+// exhaustive search at a sample of interrupt levels, resuming with a
+// different worker count (the Result is Workers-independent).
 func TestResumeEquivalenceVerifyingRun(t *testing.T) {
-	for _, exact := range []bool{false, true} {
-		sys, base := verifySearch(t)
-		base.ExactDedup = exact
-		want, err := BFS(sys, base)
+	sys, base := verifySearch(t)
+	want, err := BFS(sys, base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want.Violation != nil || !want.Exhausted {
+		t.Fatalf("baseline not a clean exhaustive run: %+v", want)
+	}
+	dir := t.TempDir()
+	for _, k := range []int{1, 5, 11, 17} {
+		path := filepath.Join(dir, "ck.jsonl")
+		_, cfg := verifySearch(t)
+		stopAtLevel(&cfg, k, path)
+		partial, err := BFS(sys, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if want.Violation != nil || !want.Exhausted {
-			t.Fatalf("baseline not a clean exhaustive run: %+v", want)
+		if !partial.Interrupted {
+			requireEqualResults(t, "uninterrupted tail run", partial, want)
+			continue
 		}
-		dir := t.TempDir()
-		for _, k := range []int{1, 5, 11, 17} {
-			path := filepath.Join(dir, "ck.jsonl")
-			_, cfg := verifySearch(t)
-			cfg.ExactDedup = exact
-			stopAtLevel(&cfg, k, path)
-			partial, err := BFS(sys, cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !partial.Interrupted {
-				requireEqualResults(t, "uninterrupted tail run", partial, want)
-				continue
-			}
-			if partial.Exhausted {
-				t.Errorf("exact=%t level %d: interrupted run claims Exhausted", exact, k)
-			}
-			ck, err := ReadCheckpoint(path)
-			if err != nil {
-				t.Fatalf("exact=%t level %d: %v", exact, k, err)
-			}
-			_, rcfg := verifySearch(t)
-			rcfg.ExactDedup = exact
-			rcfg.Resume = ck
-			rcfg.Workers = 2
-			resumed, err := BFS(sys, rcfg)
-			if err != nil {
-				t.Fatalf("exact=%t level %d: resume: %v", exact, k, err)
-			}
-			requireEqualResults(t, "resumed verifying run", resumed, want)
+		if partial.Exhausted {
+			t.Errorf("level %d: interrupted run claims Exhausted", k)
 		}
+		ck, err := ReadCheckpoint(path)
+		if err != nil {
+			t.Fatalf("level %d: %v", k, err)
+		}
+		_, rcfg := verifySearch(t)
+		rcfg.Resume = ck
+		rcfg.Workers = 2
+		resumed, err := BFS(sys, rcfg)
+		if err != nil {
+			t.Fatalf("level %d: resume: %v", k, err)
+		}
+		requireEqualResults(t, "resumed verifying run", resumed, want)
 	}
 }
 
@@ -405,7 +411,7 @@ func TestResumeRejectsMismatchedConfig(t *testing.T) {
 		func(c *Config) { c.Inputs = pool(2, ioa.RT) },
 		func(c *Config) { c.MaxDepth = 19 },
 		func(c *Config) { c.MaxInTransit = 3 },
-		func(c *Config) { c.ExactDedup = true },
+		func(c *Config) { c.AllowLoss = true },
 		func(c *Config) { c.Monitor = NewSafetyMonitor(true) },
 	} {
 		_, bad := crashSearch(t)
@@ -450,7 +456,7 @@ func FuzzCheckpointDecode(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(badCut.Bytes())
-	f.Add([]byte(`{"magic":"dl-explore-checkpoint","version":1}`))
+	f.Add([]byte(`{"magic":"dl-explore-checkpoint","version":2}`))
 	f.Add([]byte("{}\n"))
 	f.Add([]byte(nil))
 	f.Fuzz(func(t *testing.T, data []byte) {

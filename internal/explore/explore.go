@@ -93,10 +93,6 @@ type Config struct {
 	// committed in frontier order, so the Result and every checkpoint are
 	// identical for any worker count.
 	Workers int
-	// ExactDedup deduplicates on full fingerprint keys instead of 64-bit
-	// hashes: the collision-paranoid escape hatch, at ~key-length bytes
-	// per state instead of 8 (see seenset.go for the collision analysis).
-	ExactDedup bool
 	// Symmetry enables symmetry reduction: dedup keys canonicalise payload
 	// tokens and packet IDs to first-use order, and the inputs-used bitmap
 	// collapses to per-class counts, so states differing only by a
@@ -106,14 +102,6 @@ type Config struct {
 	// otherwise the flag is ignored and the search runs unreduced). See
 	// reduction.go for the soundness argument.
 	Symmetry bool
-	// POR enables partial-order reduction: commuting invisible channel
-	// actions (deliveries and losses on different channels, losses of
-	// different packets on one channel) are explored in one canonical
-	// order instead of all interleavings. Transitions are pruned, states
-	// are not: the reachable state set and per-depth admission are
-	// provably unchanged (see reduction.go), so verdicts, shortest traces
-	// and exhausted/depth-limited statuses are identical.
-	POR bool
 	// Metrics, when non-nil, receives the explorer's counters, gauges
 	// and histograms (see obs.go for the name inventory). Nil disables
 	// metrics at zero hot-path cost.
@@ -142,6 +130,16 @@ type Config struct {
 	// and returns. Checked only at level barriers, so a stopped search is
 	// always resumable from a complete cut.
 	Stop <-chan struct{}
+
+	// The two fields below select reference implementations that the
+	// package's tests compare the search against; nothing else sets them.
+	//
+	// unreduced expands every interleaving instead of applying
+	// partial-order reduction (see reduction.go).
+	unreduced bool
+	// newSeen, when non-nil, builds the dedup set in place of the 64-bit
+	// hashed seen-set. Checkpoints cannot snapshot such a set.
+	newSeen func() seenSet
 }
 
 // Default search bounds.
@@ -217,7 +215,6 @@ type search struct {
 	// interchangeable under payload renaming, so only per-class counts
 	// enter the canonical dedup key.
 	sym        bool
-	por        bool
 	classOf    []int
 	numClasses int
 	// chanByDir and chanLose classify invisible channel actions for POR:
@@ -299,8 +296,8 @@ func BFS(sys *core.System, cfg Config) (*Result, error) {
 		s.maxStates = DefaultMaxStates
 	}
 	s.usedStride = (len(cfg.Inputs) + 63) / 64
-	if cfg.ExactDedup {
-		s.seen = newExactSeen()
+	if cfg.newSeen != nil {
+		s.seen = cfg.newSeen()
 	} else {
 		h := newHashedSeen()
 		if cfg.Checkpoint.enabled() {
@@ -588,9 +585,6 @@ func (s *search) expandChunk(lvl *arenaLevel, c int, ch *chunk, b *workerBufs, w
 		s.ins.workers[w].Inc()
 		s.ins.expanded.Inc()
 		s.ins.fanout.Observe(int64(len(ch.succs) - from))
-		if s.por {
-			s.ins.ampleSize.Observe(int64(len(ch.succs) - from))
-		}
 		for j := from; j < len(ch.succs); j++ {
 			sj := &ch.succs[j]
 			ch.parents = append(ch.parents, uint32(i))
@@ -794,7 +788,7 @@ func (s *search) expand(lvl *arenaLevel, n int, used []bool, out []succ) ([]succ
 				continue
 			}
 		}
-		if s.por && s.porSuppressed(incoming, a) {
+		if !s.cfg.unreduced && s.porSuppressed(incoming, a) {
 			pruned++
 			continue
 		}

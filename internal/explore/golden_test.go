@@ -51,9 +51,10 @@ const goldenCutLevel = 3
 
 // TestBFSGolden pins the explorer's observable output over the violating
 // (ABP, receiver crash) and verifying (Go-Back-N over FIFO) searches,
-// under every symmetry/POR combination, sequentially and — for the
+// with and without symmetry reduction, sequentially and — for the
 // verifying search, whose exhaustive counters are Workers-independent —
-// with four workers.
+// with four workers. The por=false entries run the unreduced reference
+// expansion; they must equal their por=true twins.
 func TestBFSGolden(t *testing.T) {
 	type search struct {
 		name  string
@@ -66,7 +67,7 @@ func TestBFSGolden(t *testing.T) {
 		cases = append(cases, name)
 		configure := func() (*core.System, Config) {
 			sys, cfg := s.setup(t)
-			cfg.Workers, cfg.Symmetry, cfg.POR = workers, sym, por
+			cfg.Workers, cfg.Symmetry, cfg.unreduced = workers, sym, !por
 			return sys, cfg
 		}
 		sys, cfg := configure()

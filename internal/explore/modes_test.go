@@ -9,7 +9,8 @@ import (
 
 // TestModesEquivalence: worker count is a pure performance knob under
 // every reduction mode. For both the violating and the clean exhaustive
-// workload, and every combination of symmetry and POR, a search at each
+// workload, and every combination of symmetry and POR (por=false is the
+// unreduced reference expansion), a search at each
 // worker count must reproduce the Workers=1 reference Result exactly:
 // same verdict, same trace, same StatesExplored and DepthReached. The w1
 // cases re-run the reference configuration under a fresh random hash
@@ -27,7 +28,7 @@ func TestModesEquivalence(t *testing.T) {
 			for _, por := range []bool{false, true} {
 				sys, base := wl.setup(t)
 				base.Symmetry = sym
-				base.POR = por
+				base.unreduced = !por
 				base.Workers = 1
 				want, err := BFS(sys, base)
 				if err != nil {

@@ -31,11 +31,9 @@ import (
 //	                                      while building dedup keys (0 when
 //	                                      symmetry reduction is off)
 //	explore.por_pruned           counter  transitions suppressed by
-//	                                      partial-order reduction
-//	explore.ample_size           histogram successors per expanded node with
-//	                                      POR suppression applied (the
-//	                                      ample-set sizes; only observed when
-//	                                      POR is on)
+//	                                      partial-order reduction, which
+//	                                      every search applies (fanout is
+//	                                      counted after the suppression)
 //
 // Trace events: explore.level (one per completed BFS level),
 // explore.checkpoint (one per durable snapshot: level, nodes, bytes,
@@ -73,7 +71,6 @@ type instruments struct {
 	ckptBytes    *obs.Gauge
 	symRenames   *obs.Counter
 	porPruned    *obs.Counter
-	ampleSize    *obs.Histogram
 	workers      []*obs.Counter
 }
 
@@ -93,7 +90,6 @@ func newInstruments(reg *obs.Registry, workers int) instruments {
 		ckptBytes:    reg.Gauge("explore.checkpoint_bytes"),
 		symRenames:   reg.Counter("explore.symmetry_renames"),
 		porPruned:    reg.Counter("explore.por_pruned"),
-		ampleSize:    reg.Histogram("explore.ample_size", obs.LinearBuckets(2, 2, 16)),
 		workers:      make([]*obs.Counter, workers),
 	}
 	for w := range ins.workers {

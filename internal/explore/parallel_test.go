@@ -156,7 +156,7 @@ func TestWorkersCheckpointBytesIdentical(t *testing.T) {
 func TestHashedDedupMatchesExact(t *testing.T) {
 	for _, c := range searchCases() {
 		t.Run(c.name, func(t *testing.T) {
-			exact := runCase(t, c, func(cfg *Config) { cfg.ExactDedup = true })
+			exact := runCase(t, c, exactDedup)
 			hashed := runCase(t, c, nil)
 			if hashed.StatesExplored != exact.StatesExplored ||
 				hashed.DepthReached != exact.DepthReached ||

@@ -40,7 +40,9 @@ func replayViolation(t *testing.T, sys *core.System, mon Monitor, sched ioa.Sche
 
 // TestReductionSoundnessMatrix runs every registered protocol over both
 // channel kinds under four reduction settings and checks the invariants
-// the reductions promise:
+// the reductions promise. The base and sym variants run the unreduced
+// reference expansion; por and both are what a search does without and
+// with Config.Symmetry:
 //
 //   - identical verdict (violation found or not, same property);
 //   - violating traces replay to the same violation unreduced;
@@ -60,11 +62,15 @@ func TestReductionSoundnessMatrix(t *testing.T) {
 		{"both", true, true},
 	}
 	type workload struct {
-		proto  string
-		fifo   bool
-		inputs []ioa.Action
-		depth  int
-		loss   bool
+		proto     string
+		fifo      bool
+		inputs    []ioa.Action
+		depth     int
+		inTransit int // 0 means 2
+		loss      bool
+		// states, when nonzero, pins the unreduced state count.
+		states int
+		long   bool // skipped under -short
 	}
 	var loads []workload
 	for _, name := range protocol.Names() {
@@ -81,11 +87,17 @@ func TestReductionSoundnessMatrix(t *testing.T) {
 		workload{proto: "abp-stuck", fifo: true, inputs: pool(2), depth: 18},
 		workload{proto: "abp", fifo: true, inputs: pool(2), depth: 12, loss: true},
 		workload{proto: "stenning", fifo: false, inputs: pool(2), depth: 12, loss: true},
+		// The explorer benchmark's shape at depth 24: Stenning over C̄ with
+		// DL6 checked. POR must explore exactly the unreduced states.
+		workload{proto: "stenning", fifo: false, inputs: pool(3), depth: 24, inTransit: 3, states: 52288, long: true},
 	)
 
 	for _, w := range loads {
 		w := w
 		t.Run(fmt.Sprintf("%s/fifo=%t/loss=%t/d%d", w.proto, w.fifo, w.loss, w.depth), func(t *testing.T) {
+			if w.long && testing.Short() {
+				t.Skip("explores the full depth-24 Stenning space")
+			}
 			t.Parallel()
 			p, err := protocol.ByName(w.proto, 4, 2)
 			if err != nil {
@@ -94,6 +106,10 @@ func TestReductionSoundnessMatrix(t *testing.T) {
 			var sysOpts []core.SystemOption
 			if w.loss {
 				sysOpts = append(sysOpts, core.WithChannelOptions(channel.WithLoss()))
+			}
+			inTransit := w.inTransit
+			if inTransit == 0 {
+				inTransit = 2
 			}
 			results := make(map[string]*Result, len(variants))
 			for _, v := range variants {
@@ -105,10 +121,10 @@ func TestReductionSoundnessMatrix(t *testing.T) {
 					Inputs:       w.inputs,
 					Monitor:      NewSafetyMonitor(true),
 					MaxDepth:     w.depth,
-					MaxInTransit: 2,
+					MaxInTransit: inTransit,
 					AllowLoss:    w.loss,
 					Symmetry:     v.sym,
-					POR:          v.por,
+					unreduced:    !v.por,
 				})
 				if err != nil {
 					t.Fatalf("%s: %v", v.name, err)
@@ -136,6 +152,9 @@ func TestReductionSoundnessMatrix(t *testing.T) {
 					t.Errorf("%s status differs: exhausted=%t depthLimited=%t vs base %t/%t",
 						v.name, r.Exhausted, r.DepthLimited, base.Exhausted, base.DepthLimited)
 				}
+			}
+			if w.states != 0 && base.StatesExplored != w.states {
+				t.Errorf("unreduced search explored %d states, want %d", base.StatesExplored, w.states)
 			}
 			if got, want := results["por"].StatesExplored, base.StatesExplored; got != want {
 				t.Errorf("POR must not change the state count: got %d, base %d", got, want)
@@ -334,9 +353,10 @@ func TestCanonFingerprintPermutationInvariant(t *testing.T) {
 	}
 }
 
-// TestResumeRejectsReductionMismatch: a checkpoint written by an
-// unreduced search must not resume under different reduction flags (and
-// vice versa) — the seen-set keys and expansion order are incompatible.
+// TestResumeRejectsReductionMismatch: a checkpoint written by a search
+// without symmetry reduction must not resume under symmetry, nor in the
+// unreduced reference expansion — the seen-set keys and expansion order
+// are incompatible.
 func TestResumeRejectsReductionMismatch(t *testing.T) {
 	sys, err := core.NewSystem(protocol.NewStenning(), false)
 	if err != nil {
@@ -360,17 +380,17 @@ func TestResumeRejectsReductionMismatch(t *testing.T) {
 	for _, mis := range []struct {
 		name     string
 		sym, por bool
-	}{{"symmetry", true, false}, {"por", false, true}, {"both", true, true}} {
+	}{{"symmetry", true, true}, {"unreduced", false, false}, {"symmetry+unreduced", true, false}} {
 		bad := cfg
 		bad.Checkpoint = CheckpointOptions{}
 		bad.Resume = ck
-		bad.Symmetry, bad.POR = mis.sym, mis.por
+		bad.Symmetry, bad.unreduced = mis.sym, !mis.por
 		sys2, err := core.NewSystem(protocol.NewStenning(), false)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if _, err := BFS(sys2, bad); !errors.Is(err, ErrCheckpointMismatch) {
-			t.Errorf("resume with %s flipped: err = %v, want ErrCheckpointMismatch", mis.name, err)
+			t.Errorf("resume as %s: err = %v, want ErrCheckpointMismatch", mis.name, err)
 		}
 	}
 }

@@ -11,20 +11,24 @@ import (
 // The explorer dedups up to millions of states. The hashed seen-set costs
 // about 32 B per state (hashedEntryBytes), a few percent of a search's
 // peak RSS: the frontier's states, not the seen-set, bound how large a
-// search fits in memory (DESIGN.md §12). All implementations below are
-// mutex-striped across seenShards shards chosen by the key's 64-bit hash,
-// so concurrent workers rarely collide on a lock, and all accept
-// transient []byte keys so callers can build keys in a reused buffer.
+// search fits in memory (DESIGN.md §12). The set is mutex-striped across
+// seenShards shards chosen by the key's 64-bit hash, so concurrent
+// workers rarely collide on a lock, and it accepts transient []byte keys
+// so callers can build keys in a reused buffer.
 //
-// hashedSeen stores only the 64-bit hash of each key (8 bytes per state
-// plus map overhead, versus the full key string — typically hundreds of
-// bytes — kept by exactSeen). Dedup by hash can, in principle, merge two
-// distinct states on a hash collision; with a per-search random seed and
-// n states the probability of any collision is about n²/2⁶⁵ (≈ 3·10⁻⁸ for
-// the default 2²⁰-state budget), and a collision can only cause a missed
-// state, never a false violation — traces are re-validated by the monitor
-// on the path that reaches them. Config.ExactDedup selects exactSeen for
-// collision-paranoid runs.
+// hashedSeen, the only dedup set, stores the 64-bit hash of each key
+// (8 bytes per state plus map overhead) instead of the key itself,
+// which is typically hundreds of bytes. Dedup by hash can, in principle,
+// merge two distinct states on a hash collision. With a seed drawn fresh
+// for each search (and persisted in its checkpoints) and n states, the
+// probability of any collision is about n²/2⁶⁵: ≈ 3.0·10⁻⁸ at the
+// default 2²⁰-state budget, ≈ 2.7·10⁻⁸ at 10⁶ states and ≈ 2.7·10⁻² at
+// 10⁹ states, a search that would need about 1.2 TB at the measured
+// ~1.2 KB per state. A collision can only drop a state, which weakens an
+// Exhausted certificate; it never invents a violation, because a trace
+// is re-validated by the monitor on the path that reaches it. The tests
+// keep a full-key set as the reference the hashed set is checked
+// against (DESIGN.md §12).
 //
 // The hash is a seeded multiply-xor mix (hash64 below) rather than
 // hash/maphash: maphash's seed is deliberately opaque and cannot be
@@ -284,96 +288,6 @@ func (h *hashedSeen) ApproxBytes() int64 {
 		// Tracking mode additionally holds each sum in its sorted run.
 		b += int64(cap(sh.sorted)+cap(sh.pending)) * 8
 		sh.mu.Unlock()
-	}
-	return b
-}
-
-// exactSeen dedups on full key strings: the Config.ExactDedup escape
-// hatch, immune to hash collisions at ~key-length bytes per state.
-type exactSeen struct {
-	seed   uint64
-	shards [seenShards]struct {
-		mu    sync.Mutex
-		m     map[string]struct{}
-		bytes int64
-		_     [32]byte
-	}
-}
-
-// exactEntryOverhead estimates the per-entry cost beyond the key bytes:
-// the string header, the key allocation's size-class rounding, and the
-// map's per-entry share of buckets and slack. Calibrated the same way as
-// hashedEntryBytes (see seenset_test.go); the earlier guess of 48 was
-// ~30% low.
-const exactEntryOverhead = 64
-
-func newExactSeen() *exactSeen {
-	e := &exactSeen{seed: randomSeed()}
-	for i := range e.shards {
-		e.shards[i].m = make(map[string]struct{})
-	}
-	return e
-}
-
-func (e *exactSeen) Add(key []byte) bool {
-	sum := hash64(e.seed, key)
-	sh := &e.shards[shardOf(sum)]
-	sh.mu.Lock()
-	// The map lookup with a string(key) conversion does not allocate; the
-	// key is only materialized when it is genuinely new.
-	_, dup := sh.m[string(key)]
-	if !dup {
-		k := string(key)
-		sh.m[k] = struct{}{}
-		sh.bytes += int64(len(k)) + exactEntryOverhead
-	}
-	sh.mu.Unlock()
-	return !dup
-}
-
-// keys returns every admitted key in ascending order — the exact-mode
-// checkpoint payload (membership is by full key, so the shard seed need
-// not be persisted).
-func (e *exactSeen) keys() []string {
-	out := make([]string, 0, e.Len())
-	for i := range e.shards {
-		sh := &e.shards[i]
-		sh.mu.Lock()
-		for k := range sh.m {
-			out = append(out, k) // lint:ignore determinism set members; sorted below before any output
-		}
-		sh.mu.Unlock()
-	}
-	sort.Strings(out)
-	return out
-}
-
-func (e *exactSeen) Len() int {
-	n := 0
-	for i := range e.shards {
-		e.shards[i].mu.Lock()
-		n += len(e.shards[i].m)
-		e.shards[i].mu.Unlock()
-	}
-	return n
-}
-
-func (e *exactSeen) ShardLens() []int {
-	out := make([]int, seenShards)
-	for i := range e.shards {
-		e.shards[i].mu.Lock()
-		out[i] = len(e.shards[i].m)
-		e.shards[i].mu.Unlock()
-	}
-	return out
-}
-
-func (e *exactSeen) ApproxBytes() int64 {
-	var b int64
-	for i := range e.shards {
-		e.shards[i].mu.Lock()
-		b += e.shards[i].bytes
-		e.shards[i].mu.Unlock()
 	}
 	return b
 }

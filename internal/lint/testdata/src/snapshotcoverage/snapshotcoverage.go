@@ -26,7 +26,7 @@ func (c *Counter) Step() {
 	c.seen++
 }
 
-func (c *Counter) Snapshot() int  { return c.n }
+func (c *Counter) Snapshot() int { return c.n }
 func (c *Counter) Restore(v int) { c.n = v }
 
 // clock has a parameterless Snapshot but no Restore: not a pair itself,
@@ -63,6 +63,6 @@ type builder struct {
 	extra int
 }
 
-func (s *builder) grow()               { s.depth++; s.extra++ }
-func (s *builder) snapshot(d int) int  { return s.depth + d }
-func (s *builder) restore(d int)       { s.depth = d }
+func (s *builder) grow()              { s.depth++; s.extra++ }
+func (s *builder) snapshot(d int) int { return s.depth + d }
+func (s *builder) restore(d int)      { s.depth = d }

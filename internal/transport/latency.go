@@ -67,7 +67,7 @@ func (st *spanTracker) observe(a ioa.Action) {
 		}
 	case ioa.KindReceiveMsg:
 		if t0, open := st.start[a.Msg]; open {
-			st.ins.deliveryLatency.Observe(max64(0, (st.now()-t0).Microseconds()))
+			st.ins.deliveryLatency.Observe(max64(0, (st.now() - t0).Microseconds()))
 			delete(st.start, a.Msg)
 		}
 		if n, counted := st.sends[a.Msg]; counted {

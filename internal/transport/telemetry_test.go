@@ -75,11 +75,11 @@ func TestLoopbackLossyRetransmitSpans(t *testing.T) {
 
 // traceEvent is the decoded form of one transport.* trace line.
 type traceEvent struct {
-	Event   string `json:"event"`
-	Session int64  `json:"session"`
-	Side    string `json:"side"`
-	Station string `json:"station"`
-	Proto   string `json:"proto"`
+	Event   string          `json:"event"`
+	Session int64           `json:"session"`
+	Side    string          `json:"side"`
+	Station string          `json:"station"`
+	Proto   string          `json:"proto"`
 	Origin  string          `json:"origin"`
 	K       int64           `json:"k"`
 	Action  json.RawMessage `json:"action"` // ioa.Action wire form; deterministic, compared raw
